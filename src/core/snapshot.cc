@@ -67,6 +67,7 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
   snapshot->num_alive_groups_ = linker.num_alive_groups_;
   snapshot->linked_pairs_ = linker.linked_pairs_;
   snapshot->cluster_labels_ = linker.ClusterLabels();
+  snapshot->BuildScoringIndex();
   // Last write: the seal. Anything observing an unsealed snapshot went
   // around the publication barrier.
   snapshot->seal_ = kSealed;
@@ -107,23 +108,51 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
         "recovered snapshot failed the consistency check: the store decoded "
         "cleanly but does not describe a valid epoch");
   }
+  snapshot->BuildScoringIndex();
   metrics.captured.Increment();
   metrics.live.Add(1.0);
   return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
 
+void CorpusSnapshot::BuildScoringIndex() {
+  std::vector<char> live(record_vectors_.size(), 0);
+  record_slot_.assign(record_vectors_.size(), -1);
+  for (size_t g = 0; g < group_records_.size(); ++g) {
+    if (!group_alive_[g]) continue;
+    const std::vector<int32_t>& records = group_records_[g];
+    for (size_t i = 0; i < records.size(); ++i) {
+      live[static_cast<size_t>(records[i])] = 1;
+      record_slot_[static_cast<size_t>(records[i])] = static_cast<int32_t>(i);
+    }
+  }
+  postings_ = WeightedPostings(static_cast<int32_t>(epoch_vocab_.size()),
+                               record_vectors_, live);
+}
+
 std::vector<int32_t> CorpusSnapshot::CandidateGroupsForProbe(
     const std::vector<std::vector<int32_t>>& probe_token_ids) const {
-  std::vector<int32_t> groups;
+  // A group is a candidate when any of its live documents shares a token
+  // with any probe record, so each distinct probe token's postings are
+  // walked once, and groups are deduplicated by stamp as they are found.
+  std::vector<int32_t> tokens;
   for (const std::vector<int32_t>& ids : probe_token_ids) {
-    for (const int32_t doc : token_index_.DocumentsSharingToken(ids)) {
+    tokens.insert(tokens.end(), ids.begin(), ids.end());
+  }
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
+
+  thread_local StampSet seen;
+  seen.Clear(group_records_.size());
+  std::vector<int32_t> groups;
+  for (const int32_t token : tokens) {
+    for (const int32_t doc : token_index_.Postings(token)) {
+      if (token_index_.IsRemoved(doc)) continue;
       const int32_t g = record_group_[static_cast<size_t>(doc)];
       if (!group_alive_[static_cast<size_t>(g)]) continue;
-      groups.push_back(g);
+      if (seen.Insert(g)) groups.push_back(g);
     }
   }
   std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
   return groups;
 }
 
@@ -181,27 +210,58 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   fr_config.use_lower_bound_accept =
       config_.use_filter_refine && config_.use_lower_bound_accept;
 
+  // θ-edges of every probe record against the whole live corpus, by
+  // term-at-a-time accumulation over the weighted postings; each score
+  // equals the per-pair PrenormalizedCosineSimilarity bit for bit (see
+  // the class comment). Sorted by (group, slot, probe record), each
+  // group's edges form one run in the order a per-pair build over
+  // (corpus slot, probe record) would have added them.
+  struct Edge {
+    int32_t group;
+    int32_t slot;
+    int32_t probe;
+    double score;
+  };
+  std::vector<Edge> edges;
+  if (!candidates.empty()) {
+    std::vector<WeightedPostings::Hit> hits;
+    for (size_t j = 0; j < probe_size; ++j) {
+      hits.clear();
+      postings_.ScoresAtLeast(probe_vectors[j], config_.theta, &hits);
+      for (const WeightedPostings::Hit& hit : hits) {
+        const size_t r = static_cast<size_t>(hit.record);
+        edges.push_back({record_group_[r], record_slot_[r],
+                         static_cast<int32_t>(j), hit.score});
+      }
+    }
+    std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+      if (a.group != b.group) return a.group < b.group;
+      if (a.slot != b.slot) return a.slot < b.slot;
+      return a.probe < b.probe;
+    });
+  }
+
   const int32_t size_right = static_cast<int32_t>(probe_size);
+  size_t next = 0;
   for (const int32_t g : candidates) {
     if (ctx.StopRequested()) {
       ctx.NoteDegraded();
       break;
     }
+    // Candidates ascend like the edge runs, so one cursor finds g's run;
+    // runs of groups outside the (capped) candidate set are skipped.
+    while (next < edges.size() && edges[next].group < g) ++next;
+    const size_t first = next;
+    while (next < edges.size() && edges[next].group == g) ++next;
+    // No θ-edge: DecideGraphLinked rejects an empty graph outright.
+    if (first == next) continue;
     // The corpus group is the left side, the probe the right — the same
     // orientation as the arrival path's DecideLink(other, new_group).
-    const std::vector<int32_t>& left = group_records_[static_cast<size_t>(g)];
-    const int32_t size_left = static_cast<int32_t>(left.size());
+    const int32_t size_left =
+        static_cast<int32_t>(group_records_[static_cast<size_t>(g)].size());
     BipartiteGraph graph(size_left, size_right);
-    for (size_t i = 0; i < left.size(); ++i) {
-      const SparseVector& corpus_vector =
-          record_vectors_[static_cast<size_t>(left[i])];
-      for (size_t j = 0; j < probe_size; ++j) {
-        const double s =
-            PrenormalizedCosineSimilarity(corpus_vector, probe_vectors[j]);
-        if (s >= config_.theta) {
-          graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
-        }
-      }
+    for (size_t k = first; k < next; ++k) {
+      graph.AddEdge(edges[k].slot, edges[k].probe, edges[k].score);
     }
     if (DecideGraphLinked(graph, size_left, size_right, fr_config, &ctx)) {
       result.linked_to.push_back(g);
@@ -227,6 +287,28 @@ bool CorpusSnapshot::CheckConsistency() const {
   if (alive != num_alive_groups_) return false;
   for (const int32_t g : record_group_) {
     if (g < 0 || static_cast<size_t>(g) >= n_groups) return false;
+  }
+  // The scoring index addresses postings by vector id and records by
+  // their slot in the group list; both must be well formed.
+  const size_t n_tokens = epoch_vocab_.size();
+  for (const SparseVector& v : record_vectors_) {
+    if (v.ids.size() != v.weights.size()) return false;
+    for (size_t k = 0; k < v.ids.size(); ++k) {
+      const int32_t id = v.ids[k];
+      if (id < 0 || static_cast<size_t>(id) >= n_tokens) return false;
+      if (k > 0 && v.ids[k - 1] >= id) return false;  // Sorted, unique.
+    }
+  }
+  std::vector<char> listed(n_records, 0);
+  for (size_t g = 0; g < n_groups; ++g) {
+    for (const int32_t r : group_records_[g]) {
+      if (r < 0 || static_cast<size_t>(r) >= n_records) return false;
+      if (static_cast<size_t>(record_group_[static_cast<size_t>(r)]) != g) {
+        return false;
+      }
+      if (listed[static_cast<size_t>(r)] != 0) return false;
+      listed[static_cast<size_t>(r)] = 1;
+    }
   }
   std::pair<int32_t, int32_t> prev{-1, -1};
   for (const auto& pair : linked_pairs_) {

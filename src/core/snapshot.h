@@ -11,6 +11,7 @@
 #include "common/status.h"
 #include "core/incremental.h"
 #include "index/inverted_index.h"
+#include "index/weighted_postings.h"
 #include "text/tfidf.h"
 #include "text/vocabulary.h"
 
@@ -39,6 +40,18 @@ namespace grouplink {
 /// linker.Clone()->AddGroup(G) would have produced at the capture point —
 /// and at a refresh point that equals a batch LinkageEngine run over the
 /// epoch corpus plus G (tested in tests/core_snapshot_test.cc).
+///
+/// Scoring: the θ-edges are not found pair by pair. At seal time the
+/// snapshot builds weighted postings (index/weighted_postings.h) over the
+/// live records' vectors; a query accumulates each probe record's scores
+/// term at a time and keeps the records reaching θ. Each score is summed
+/// from +0.0 in ascending shared-token order — DotProduct's order — so it
+/// equals PrenormalizedCosineSimilarity bit for bit; θ > 0
+/// (LinkageConfig::Validate) means a pair sharing no weighted token is
+/// never an edge; and each candidate's BipartiteGraph receives its edges
+/// in (corpus slot, probe record) order, so the ladder sees the graph a
+/// per-pair build would have made (tests/core_snapshot_scoring_test.cc
+/// holds LinkQuery to that per-pair reference).
 class CorpusSnapshot {
  public:
   /// Per-query admission control, mapped onto ExecutionContext: a
@@ -121,8 +134,11 @@ class CorpusSnapshot {
   const LinkageConfig& engine_config() const { return config_; }
 
   /// Structural self-check of the frozen state: the seal sentinel written
-  /// as Capture's last step, cross-array size agreement, sorted (i < j)
-  /// link pairs over live groups. Soak readers call this to prove no
+  /// as Capture's last step, cross-array size agreement, record vectors
+  /// with strictly ascending ids inside the epoch vocabulary, group record
+  /// lists that agree with record_group (each record listed once, by its
+  /// own group), sorted (i < j) link pairs over live groups. Soak readers
+  /// call this to prove no
   /// query ever observes a half-built epoch; any violation would mean the
   /// publication barrier broke. Cheap enough to run per query batch.
   [[nodiscard]] bool CheckConsistency() const;
@@ -189,6 +205,11 @@ class CorpusSnapshot {
   std::vector<int32_t> CandidateGroupsForProbe(
       const std::vector<std::vector<int32_t>>& probe_token_ids) const;
 
+  /// Derives the scoring state (postings_, record_slot_) from the frozen
+  /// parts. Runs before the seal in Capture and after the consistency
+  /// check in FromParts, whose invariants it relies on.
+  void BuildScoringIndex();
+
   // All fields are written once inside Capture and frozen thereafter.
   LinkageConfig config_;
   int64_t epoch_ = 0;
@@ -215,6 +236,12 @@ class CorpusSnapshot {
 
   std::vector<std::pair<int32_t, int32_t>> linked_pairs_;
   std::vector<size_t> cluster_labels_;
+
+  // Scoring state derived from the parts above (not persisted): weighted
+  // postings over the live records' vectors, and each live record's
+  // position in its group's record list (-1 for records of dead groups).
+  WeightedPostings postings_;
+  std::vector<int32_t> record_slot_;
 
   // Written as the very last step of Capture; every query GL_CHECKs it.
   // A reader that could ever observe a partially built snapshot would

@@ -12,6 +12,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/incremental.h"
@@ -180,6 +181,144 @@ TEST_F(StorageCorruptionTest, ForeignFileIsDataLossNotACrash) {
   const auto loaded = SnapshotStore::Load(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+}
+
+/// The snapshot's own frozen state as FromParts input: the starting
+/// point for the forged epochs below, each of which decodes cleanly (no
+/// CRC ever fails) yet must be rejected before the scoring index that
+/// addresses postings by vector id and records by group slot is built.
+CorpusSnapshot::Parts PartsOf(const CorpusSnapshot& snapshot) {
+  CorpusSnapshot::Parts parts;
+  parts.config = snapshot.engine_config();
+  parts.epoch = snapshot.epoch();
+  parts.index_vocab = snapshot.index_vocab();
+  parts.token_index = snapshot.token_index();
+  parts.epoch_vocab = snapshot.epoch_vocab();
+  parts.record_vectors = snapshot.record_vectors();
+  parts.record_group = snapshot.record_group();
+  parts.record_token_ids = snapshot.record_token_ids();
+  parts.group_records = snapshot.group_records();
+  parts.group_labels = snapshot.group_labels();
+  parts.group_alive = snapshot.group_alive();
+  parts.num_alive_groups = snapshot.num_alive_groups();
+  parts.linked_pairs = snapshot.linked_pairs();
+  parts.cluster_labels = snapshot.cluster_labels();
+  return parts;
+}
+
+void ExpectForgedPartsAreDataLoss(CorpusSnapshot::Parts parts,
+                                  const std::string& what) {
+  const auto rebuilt = CorpusSnapshot::FromParts(std::move(parts));
+  ASSERT_FALSE(rebuilt.ok()) << what << " was accepted";
+  EXPECT_EQ(rebuilt.status().code(), StatusCode::kDataLoss) << what;
+}
+
+/// Index of a record whose vector has at least two ids.
+size_t RecordWithTwoVectorIds(const CorpusSnapshot::Parts& parts) {
+  for (size_t r = 0; r < parts.record_vectors.size(); ++r) {
+    if (parts.record_vectors[r].size() >= 2) return r;
+  }
+  GL_CHECK(false) << "fixture has no record with two vector ids";
+  return 0;
+}
+
+/// Index of a group listing at least two records.
+size_t GroupWithTwoRecords(const CorpusSnapshot::Parts& parts) {
+  for (size_t g = 0; g < parts.group_records.size(); ++g) {
+    if (parts.group_records[g].size() >= 2) return g;
+  }
+  GL_CHECK(false) << "fixture has no group with two records";
+  return 0;
+}
+
+TEST_F(StorageCorruptionTest, UnforgedPartsRebuildAsAControl) {
+  const auto rebuilt = CorpusSnapshot::FromParts(PartsOf(*snapshot_));
+  ASSERT_TRUE(rebuilt.ok()) << rebuilt.status().message();
+  EXPECT_EQ((*rebuilt)->linked_pairs(), snapshot_->linked_pairs());
+  // The fixture's own corpus, replayed as probes through both epochs.
+  const Dataset dataset = MakeCorpus(15, 29);
+  size_t linked = 0;
+  for (const Group& group : dataset.groups) {
+    std::vector<std::string> texts;
+    for (const int32_t r : group.record_ids) {
+      texts.push_back(dataset.records[static_cast<size_t>(r)].text);
+    }
+    const auto expected = snapshot_->LinkQuery({"probe", texts});
+    EXPECT_EQ((*rebuilt)->LinkQuery({"probe", texts}).linked_to,
+              expected.linked_to);
+    linked += expected.linked_to.size();
+  }
+  EXPECT_GT(linked, 0u);
+}
+
+TEST_F(StorageCorruptionTest, MalformedRecordVectorsAreDataLoss) {
+  const CorpusSnapshot::Parts clean = PartsOf(*snapshot_);
+  const size_t r = RecordWithTwoVectorIds(clean);
+  {
+    CorpusSnapshot::Parts parts = clean;
+    std::swap(parts.record_vectors[r].ids[0], parts.record_vectors[r].ids[1]);
+    ExpectForgedPartsAreDataLoss(std::move(parts), "unsorted vector ids");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.record_vectors[r].ids[1] = parts.record_vectors[r].ids[0];
+    ExpectForgedPartsAreDataLoss(std::move(parts), "duplicated vector id");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.record_vectors[r].ids.back() =
+        static_cast<int32_t>(parts.epoch_vocab.size());
+    ExpectForgedPartsAreDataLoss(std::move(parts),
+                                 "vector id at the vocabulary size");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.record_vectors[r].ids[0] = -1;
+    ExpectForgedPartsAreDataLoss(std::move(parts), "negative vector id");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.record_vectors[r].weights.pop_back();
+    ExpectForgedPartsAreDataLoss(std::move(parts), "missing vector weight");
+  }
+}
+
+TEST_F(StorageCorruptionTest, GroupRecordsDisagreeingWithRecordGroupAreDataLoss) {
+  const CorpusSnapshot::Parts clean = PartsOf(*snapshot_);
+  const size_t g = GroupWithTwoRecords(clean);
+  const size_t other = (g + 1) % clean.group_records.size();
+  const int32_t r = clean.group_records[g][1];
+  {
+    // The record moves to another group's list; record_group still says g.
+    CorpusSnapshot::Parts parts = clean;
+    parts.group_records[g].erase(parts.group_records[g].begin() + 1);
+    parts.group_records[other].push_back(r);
+    ExpectForgedPartsAreDataLoss(std::move(parts),
+                                 "record listed under a foreign group");
+  }
+  {
+    // record_group is rewritten; the lists still say g.
+    CorpusSnapshot::Parts parts = clean;
+    parts.record_group[static_cast<size_t>(r)] = static_cast<int32_t>(other);
+    ExpectForgedPartsAreDataLoss(std::move(parts),
+                                 "record_group pointing away from its list");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.group_records[g].push_back(r);
+    ExpectForgedPartsAreDataLoss(std::move(parts), "record listed twice");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.group_records[g].push_back(
+        static_cast<int32_t>(parts.record_vectors.size()));
+    ExpectForgedPartsAreDataLoss(std::move(parts), "record id out of range");
+  }
+  {
+    CorpusSnapshot::Parts parts = clean;
+    parts.group_records[g][0] = -1;
+    ExpectForgedPartsAreDataLoss(std::move(parts), "negative record id");
+  }
 }
 
 }  // namespace
