@@ -472,13 +472,7 @@ bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
       }
     }
   }
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
+  const FilterRefineConfig fr_config = config_.filter_refine();
   return DecideGraphLinked(graph, size_left, size_right, fr_config, ctx);
 }
 
@@ -605,13 +599,7 @@ void IncrementalLinker::Refresh() {
 
   // Rescore through the engine's own filter-and-refine code on a
   // group-view dataset (records are reached by id via the sim callback).
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
+  const FilterRefineConfig fr_config = config_.filter_refine();
   const Dataset view = GroupView();
   // Refresh gets its own context (the deadline clock restarts here): a
   // degraded refresh still leaves a consistent, subset-valid link set,

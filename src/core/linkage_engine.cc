@@ -355,13 +355,7 @@ LinkageResult LinkageEngine::RunInternal(const RecordSimFn& sim,
       CandidatesStageFromStats(cand_stats, timer.ElapsedSeconds()));
 
   timer.Reset();
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
+  const FilterRefineConfig fr_config = config_.filter_refine();
 
   FilterRefineStats fr_stats;
   {

@@ -124,6 +124,13 @@ struct LinkageConfig {
   /// calls this; call it directly to fail fast when configs come from
   /// user input.
   Status Validate() const;
+
+  /// The decision-ladder settings of this config: θ, Θ, and each bound
+  /// switch gated by use_filter_refine.
+  FilterRefineConfig filter_refine() const {
+    return {theta, group_threshold, use_filter_refine && use_upper_bound_filter,
+            use_filter_refine && use_lower_bound_accept};
+  }
 };
 
 /// Output of LinkageEngine::Run.

@@ -129,40 +129,31 @@ void CorpusSnapshot::BuildScoringIndex() {
                                record_vectors_, live);
 }
 
-std::vector<int32_t> CorpusSnapshot::CandidateGroupsForProbe(
-    const std::vector<std::vector<int32_t>>& probe_token_ids) const {
-  // A group is a candidate when any of its live documents shares a token
-  // with any probe record, so each distinct probe token's postings are
-  // walked once, and groups are deduplicated by stamp as they are found.
-  std::vector<int32_t> tokens;
-  for (const std::vector<int32_t>& ids : probe_token_ids) {
-    tokens.insert(tokens.end(), ids.begin(), ids.end());
-  }
-  std::sort(tokens.begin(), tokens.end());
-  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-
-  thread_local StampSet seen;
-  seen.Clear(group_records_.size());
-  std::vector<int32_t> groups;
-  for (const int32_t token : tokens) {
-    for (const int32_t doc : token_index_.Postings(token)) {
-      if (token_index_.IsRemoved(doc)) continue;
-      const int32_t g = record_group_[static_cast<size_t>(doc)];
-      if (!group_alive_[static_cast<size_t>(g)]) continue;
-      if (seen.Insert(g)) groups.push_back(g);
-    }
-  }
-  std::sort(groups.begin(), groups.end());
-  return groups;
-}
-
 CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     const GroupArrival& group, const QueryOptions& options) const {
   GL_CHECK_EQ(seal_, kSealed) << "LinkQuery on an unsealed snapshot";
+  const QueryPlan plan{
+      epoch_, &config_, &index_vocab_, &epoch_vocab_, &token_index_.removed(),
+      &record_group_, &record_slot_, &group_records_, &group_alive_,
+      [this](int32_t token, std::vector<int32_t>*) {
+        return Result<std::span<const int32_t>>(token_index_.Postings(token));
+      },
+      [this](const auto& probes, auto* hits) {
+        for (size_t j = 0; j < probes.size(); ++j) {
+          postings_.ScoresAtLeast(probes[j], config_.theta, &(*hits)[j]);
+        }
+        return Status::Ok();
+      }};
+  return RunLinkQuery(plan, group, options).value();
+}
+
+Result<CorpusSnapshot::QueryResult> CorpusSnapshot::RunLinkQuery(
+    const QueryPlan& plan, const GroupArrival& group,
+    const QueryOptions& options) {
   GL_CHECK(!group.record_texts.empty()) << "groups must have records";
 
   QueryResult result;
-  result.epoch = epoch_;
+  result.epoch = plan.epoch;
 
   // Probe preparation mirrors the arrival path (AddGroups phases A-C) on
   // the frozen epoch: tokenize, map tokens into the index id space for
@@ -171,22 +162,24 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   // have absorbed them with empty postings), so dropping them here yields
   // the identical candidate set.
   const size_t probe_size = group.record_texts.size();
-  std::vector<std::vector<int32_t>> probe_ids(probe_size);
+  std::vector<int32_t> probe_tokens;
   std::vector<SparseVector> probe_vectors(probe_size);
-  const TfIdfVectorizer vectorizer(&epoch_vocab_);
+  const TfIdfVectorizer vectorizer(plan.epoch_vocab);
   for (size_t i = 0; i < probe_size; ++i) {
     const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
     const std::vector<std::string> set = ToTokenSet(raw);
     for (const std::string& token : set) {
-      const int32_t id = index_vocab_.GetId(token);
-      if (id != Vocabulary::kUnknownToken) probe_ids[i].push_back(id);
-      if (epoch_vocab_.GetId(token) == Vocabulary::kUnknownToken) {
+      const int32_t id = plan.index_vocab->GetId(token);
+      if (id != Vocabulary::kUnknownToken) probe_tokens.push_back(id);
+      if (plan.epoch_vocab->GetId(token) == Vocabulary::kUnknownToken) {
         ++result.oov_tokens;
       }
     }
-    std::sort(probe_ids[i].begin(), probe_ids[i].end());
     probe_vectors[i] = vectorizer.Vectorize(raw);
   }
+  std::sort(probe_tokens.begin(), probe_tokens.end());
+  probe_tokens.erase(std::unique(probe_tokens.begin(), probe_tokens.end()),
+                     probe_tokens.end());
 
   ExecutionContext ctx;
   if (options.deadline_ms > 0.0) ctx.SetDeadline(options.deadline_ms);
@@ -194,21 +187,30 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
   ctx.SetMaxMatcherCost(options.max_matcher_cost);
 
-  std::vector<int32_t> candidates = CandidateGroupsForProbe(probe_ids);
+  // Candidate groups: the live groups owning a non-tombstoned record that
+  // shares any probe token. Each distinct token's postings are walked
+  // once, and groups are deduplicated by stamp as they are found.
+  thread_local StampSet seen;
+  seen.Clear(plan.group_records->size());
+  std::vector<int32_t> candidates;
+  std::vector<int32_t> scratch;
+  for (const int32_t token : probe_tokens) {
+    GL_ASSIGN_OR_RETURN(const std::span<const int32_t> docs,
+                        plan.postings(token, &scratch));
+    for (const int32_t doc : docs) {
+      if ((*plan.record_removed)[static_cast<size_t>(doc)] != 0) continue;
+      const int32_t g = (*plan.record_group)[static_cast<size_t>(doc)];
+      if ((*plan.group_alive)[static_cast<size_t>(g)] == 0) continue;
+      if (seen.Insert(g)) candidates.push_back(g);
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
   const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
   if (cap < candidates.size()) {
     candidates.resize(cap);
     ctx.NoteDegraded();
   }
   result.candidates = candidates.size();
-
-  FilterRefineConfig fr_config;
-  fr_config.theta = config_.theta;
-  fr_config.group_threshold = config_.group_threshold;
-  fr_config.use_upper_bound_filter =
-      config_.use_filter_refine && config_.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      config_.use_filter_refine && config_.use_lower_bound_accept;
 
   // θ-edges of every probe record against the whole live corpus, by
   // term-at-a-time accumulation over the weighted postings; each score
@@ -224,13 +226,12 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   };
   std::vector<Edge> edges;
   if (!candidates.empty()) {
-    std::vector<WeightedPostings::Hit> hits;
+    std::vector<std::vector<WeightedPostings::Hit>> hits(probe_size);
+    GL_RETURN_IF_ERROR(plan.score(probe_vectors, &hits));
     for (size_t j = 0; j < probe_size; ++j) {
-      hits.clear();
-      postings_.ScoresAtLeast(probe_vectors[j], config_.theta, &hits);
-      for (const WeightedPostings::Hit& hit : hits) {
+      for (const WeightedPostings::Hit& hit : hits[j]) {
         const size_t r = static_cast<size_t>(hit.record);
-        edges.push_back({record_group_[r], record_slot_[r],
+        edges.push_back({(*plan.record_group)[r], (*plan.record_slot)[r],
                          static_cast<int32_t>(j), hit.score});
       }
     }
@@ -241,6 +242,7 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     });
   }
 
+  const FilterRefineConfig fr_config = plan.config->filter_refine();
   const int32_t size_right = static_cast<int32_t>(probe_size);
   size_t next = 0;
   for (const int32_t g : candidates) {
@@ -257,8 +259,8 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
     if (first == next) continue;
     // The corpus group is the left side, the probe the right — the same
     // orientation as the arrival path's DecideLink(other, new_group).
-    const int32_t size_left =
-        static_cast<int32_t>(group_records_[static_cast<size_t>(g)].size());
+    const int32_t size_left = static_cast<int32_t>(
+        (*plan.group_records)[static_cast<size_t>(g)].size());
     BipartiteGraph graph(size_left, size_right);
     for (size_t k = first; k < next; ++k) {
       graph.AddEdge(edges[k].slot, edges[k].probe, edges[k].score);

@@ -2,7 +2,9 @@
 #define GROUPLINK_CORE_SNAPSHOT_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,13 +199,37 @@ class CorpusSnapshot {
   const std::vector<std::string>& group_labels() const { return group_labels_; }
   const std::vector<char>& group_alive() const { return group_alive_; }
 
+  /// One epoch as LinkQuery reads it, in RAM here or paged in
+  /// storage::StoredCorpus. Each path supplies how it reads an index
+  /// token's posting list (into `scratch` if it must decode) and its
+  /// θ-edge scorer: (*hits)[j] = live records with cosine ≥ θ against
+  /// probes[j], through WeightedPostings::ScoresAtLeast.
+  struct QueryPlan {
+    int64_t epoch;
+    const LinkageConfig* config;
+    const Vocabulary* index_vocab;
+    const Vocabulary* epoch_vocab;
+    const std::vector<char>* record_removed;  // Index tombstones.
+    const std::vector<int32_t>* record_group;
+    const std::vector<int32_t>* record_slot;  // -1 outside live groups.
+    const std::vector<std::vector<int32_t>>* group_records;
+    const std::vector<char>* group_alive;
+    std::function<Result<std::span<const int32_t>>(int32_t token,
+                                                   std::vector<int32_t>* scratch)>
+        postings;
+    std::function<Status(const std::vector<SparseVector>& probes,
+                         std::vector<std::vector<WeightedPostings::Hit>>* hits)>
+        score;
+  };
+
+  /// Probe preparation, admission control, per-group edge runs and the
+  /// decision ladder over `plan`; errors come only from the plan's steps.
+  [[nodiscard]] static Result<QueryResult> RunLinkQuery(
+      const QueryPlan& plan, const GroupArrival& group,
+      const QueryOptions& options);
+
  private:
   CorpusSnapshot() = default;
-
-  /// Candidate groups for the probe's token-id lists: live groups sharing
-  /// at least one index token. Sorted ascending, deduplicated.
-  std::vector<int32_t> CandidateGroupsForProbe(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const;
 
   /// Derives the scoring state (postings_, record_slot_) from the frozen
   /// parts. Runs before the seal in Capture and after the consistency

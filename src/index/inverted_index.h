@@ -37,6 +37,8 @@ class InvertedIndex {
 
   /// True if `doc` was tombstoned by RemoveDocument.
   [[nodiscard]] bool IsRemoved(int32_t doc) const;
+  /// The tombstone flag of every document, by id.
+  [[nodiscard]] const std::vector<char>& removed() const { return removed_; }
 
   /// Documents tombstoned since construction (compaction keeps the count;
   /// removed ids stay dead forever).

@@ -1,6 +1,7 @@
 #include "index/weighted_postings.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -50,6 +51,18 @@ WeightedPostings::WeightedPostings(int32_t num_tokens,
       weights_[at] = v.weights[k];
     }
   }
+}
+
+WeightedPostings::WeightedPostings(std::vector<size_t> offsets,
+                                   std::vector<int32_t> records,
+                                   std::vector<double> weights,
+                                   size_t num_records)
+    : offsets_(std::move(offsets)),
+      records_(std::move(records)),
+      weights_(std::move(weights)),
+      num_records_(num_records) {
+  GL_CHECK(offsets_.front() == 0 && offsets_.back() == records_.size() &&
+           records_.size() == weights_.size());
 }
 
 void WeightedPostings::ScoresAtLeast(const SparseVector& probe, double threshold,

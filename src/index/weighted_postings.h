@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "text/tfidf.h"
@@ -65,6 +66,19 @@ class WeightedPostings {
   /// weight per id (GL_CHECK; validate untrusted input first).
   WeightedPostings(int32_t num_tokens, const std::vector<SparseVector>& vectors,
                    const std::vector<char>& indexed);
+
+  /// Adopts decoded lists: token t's entries are [offsets[t], offsets[t+1])
+  /// of `records`/`weights`, ids ascending in [0, num_records) (unchecked).
+  WeightedPostings(std::vector<size_t> offsets, std::vector<int32_t> records,
+                   std::vector<double> weights, size_t num_records);
+
+  /// Token t's record ids (ascending) and their weights.
+  std::span<const int32_t> records(size_t t) const {
+    return std::span(records_).subspan(offsets_[t], offsets_[t + 1] - offsets_[t]);
+  }
+  std::span<const double> weights(size_t t) const {
+    return std::span(weights_).subspan(offsets_[t], offsets_[t + 1] - offsets_[t]);
+  }
 
   /// Appends to `hits` every indexed record whose dot product with
   /// `probe` (ascending ids) is >= threshold, in first-touch order.

@@ -134,8 +134,11 @@ Status ByteReader::ReadDeltaVarints(std::vector<int32_t>* out) {
   int64_t prev = 0;
   for (uint64_t i = 0; i < count; ++i) {
     GL_ASSIGN_OR_RETURN(const uint64_t delta, ReadVarint());
+    // A gap beyond the int32 range would wrap into a step down once cast,
+    // so rejecting it keeps every decoded list non-descending.
+    if (delta > INT32_MAX) return Truncated("delta list range");
     const int64_t value = prev + static_cast<int64_t>(delta);
-    if (value < 0 || value > INT32_MAX) return Truncated("delta list range");
+    if (value > INT32_MAX) return Truncated("delta list range");
     out->push_back(static_cast<int32_t>(value));
     prev = value;
   }

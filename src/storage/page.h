@@ -34,8 +34,10 @@ inline constexpr uint32_t kPageHeaderBytes = 16;
 /// discovers a store's page size before its header page can be verified.
 inline constexpr uint32_t kMinPageBytes = 256;
 inline constexpr uint32_t kMaxPageBytes = 1u << 20;
-/// Store format version; bumped on any layout change.
-inline constexpr uint32_t kFormatVersion = 1;
+/// Store format version; bumped on any layout change. Version 2 stores
+/// the TF-IDF vectors token-major (kWeightedPostings); a version-1 store
+/// is rejected, never misread.
+inline constexpr uint32_t kFormatVersion = 2;
 /// First 8 payload bytes of the header page.
 inline constexpr char kFileMagic[8] = {'G', 'L', 'S', 'N', 'A', 'P', '0', '1'};
 /// Seal sentinel, written as the very last page of a persist. A store
@@ -87,8 +89,9 @@ class ByteReader {
   [[nodiscard]] Result<uint64_t> ReadFixed64();
   [[nodiscard]] Result<double> ReadDouble();
   [[nodiscard]] Result<std::string> ReadString();
-  /// Inverse of PutDeltaVarints; validates monotonicity and the int32
-  /// range so a decoded list is always a valid id list.
+  /// Inverse of PutDeltaVarints; validates monotonicity (the ids never
+  /// descend) and the int32 range so a decoded list is always a valid id
+  /// list.
   [[nodiscard]] Status ReadDeltaVarints(std::vector<int32_t>* out);
   [[nodiscard]] Status ReadBytes(size_t n, uint8_t* out);
   /// Varint that must fit in a non-negative int64 (all our counts/ids).

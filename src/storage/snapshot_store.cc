@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
+#include "index/weighted_postings.h"
 #include "storage/page.h"
 #include "storage/page_file.h"
 #include "storage/store_format.h"
@@ -116,21 +117,24 @@ std::array<std::vector<uint8_t>, kNumSegments> EncodeSegments(
     PutVarint(segments[kPostingsDir], static_cast<uint64_t>(length));
   }
 
-  // TF-IDF vectors + directory: delta-varint ids, weights as raw IEEE-754
-  // bits — the round trip is bit-identical, which the differential suite
-  // turns into link-set identity.
-  dir_lengths.clear();
-  dir_lengths.reserve(n_records);
-  for (size_t r = 0; r < n_records; ++r) {
-    const SparseVector& vector = snapshot.record_vectors()[r];
-    const size_t before = segments[kVectors].size();
-    PutDeltaVarints(segments[kVectors], vector.ids);
-    for (const double w : vector.weights) PutDouble(segments[kVectors], w);
-    dir_lengths.push_back(static_cast<int32_t>(segments[kVectors].size() - before));
-  }
-  PutVarint(segments[kVectorsDir], dir_lengths.size());
-  for (const int32_t length : dir_lengths) {
-    PutVarint(segments[kVectorsDir], static_cast<uint64_t>(length));
+  // TF-IDF vectors, transposed token-major by WeightedPostings' O(nnz)
+  // counting sort. The raw IEEE-754 weights make the round trip
+  // bit-identical, which the differential suite turns into link-set
+  // identity.
+  const size_t n_epoch_tokens = snapshot.epoch_vocab().size();
+  const WeightedPostings transpose(static_cast<int32_t>(n_epoch_tokens),
+                                   snapshot.record_vectors(),
+                                   std::vector<char>(n_records, 1));
+  PutVarint(segments[kWeightedPostingsDir], n_epoch_tokens);
+  for (size_t t = 0; t < n_epoch_tokens; ++t) {
+    const size_t before = segments[kWeightedPostings].size();
+    const std::span<const int32_t> records = transpose.records(t);
+    PutDeltaVarints(segments[kWeightedPostings], {records.begin(), records.end()});
+    for (const double w : transpose.weights(t)) {
+      PutDouble(segments[kWeightedPostings], w);
+    }
+    PutVarint(segments[kWeightedPostingsDir],
+              segments[kWeightedPostings].size() - before);
   }
 
   // Per-record index token sets, exactly as AddDocument received them
@@ -232,36 +236,31 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
   // Structural cross-checks of the directories against their segments
   // (StoredCorpus trusts these offsets for random access).
   std::vector<uint64_t> offsets;
-  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kPostingsDir],
+  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kPostingsDir], n_tokens,
                                      segments[kPostings].size(), &offsets));
-  if (offsets.size() != n_tokens + 1) {
-    return Status::DataLoss("postings directory entry count mismatch");
-  }
-  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kVectorsDir],
-                                     segments[kVectors].size(), &offsets));
-  if (offsets.size() != n_records + 1) {
-    return Status::DataLoss("vectors directory entry count mismatch");
-  }
+  GL_RETURN_IF_ERROR(DecodeDirectory(segments[kWeightedPostingsDir],
+                                     parts.epoch_vocab.size(),
+                                     segments[kWeightedPostings].size(), &offsets));
 
-  // TF-IDF vectors.
+  // TF-IDF vectors: each token's list, read as a vector over record ids,
+  // transposed back by the same counting sort Persist used. Tokens ascend
+  // within every record, so the vectors come back exactly as stored.
   {
-    ByteReader reader(segments[kVectors].data(), segments[kVectors].size());
+    std::vector<SparseVector> lists(offsets.size() - 1);
+    for (size_t t = 0; t < lists.size(); ++t) {
+      GL_RETURN_IF_ERROR(DecodeWeightedPostingList(
+          segments[kWeightedPostings].data() + offsets[t],
+          static_cast<size_t>(offsets[t + 1] - offsets[t]), meta.num_records,
+          &lists[t].ids, &lists[t].weights));
+    }
+    const WeightedPostings transpose(static_cast<int32_t>(n_records), lists,
+                                     std::vector<char>(lists.size(), 1));
     parts.record_vectors.resize(n_records);
     for (size_t r = 0; r < n_records; ++r) {
-      SparseVector& vector = parts.record_vectors[r];
-      GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&vector.ids));
-      vector.weights.resize(vector.ids.size());
-      for (double& w : vector.weights) {
-        GL_ASSIGN_OR_RETURN(w, reader.ReadDouble());
-      }
-      for (const int32_t id : vector.ids) {
-        if (static_cast<size_t>(id) >= parts.epoch_vocab.size()) {
-          return Status::DataLoss("vector token id out of vocabulary range");
-        }
-      }
-    }
-    if (!reader.AtEnd()) {
-      return Status::DataLoss("trailing bytes in vectors segment");
+      const std::span<const int32_t> ids = transpose.records(r);
+      const std::span<const double> weights = transpose.weights(r);
+      parts.record_vectors[r].ids.assign(ids.begin(), ids.end());
+      parts.record_vectors[r].weights.assign(weights.begin(), weights.end());
     }
   }
 
@@ -325,15 +324,8 @@ Result<std::shared_ptr<const CorpusSnapshot>> SnapshotStore::Load(
     }
   }
 
-  // Group structure: every referenced record must exist (FromParts'
-  // CheckConsistency covers the remaining invariants).
-  for (const std::vector<int32_t>& records : meta.group_records) {
-    for (const int32_t r : records) {
-      if (static_cast<size_t>(r) >= n_records) {
-        return Status::DataLoss("group references a record out of range");
-      }
-    }
-  }
+  // Group structure: FromParts' CheckConsistency checks every record
+  // reference and its agreement with record_group.
   parts.record_group = std::move(meta.record_group);
   parts.group_records = std::move(meta.group_records);
   parts.group_labels = std::move(meta.group_labels);

@@ -361,12 +361,33 @@ Result<Vocabulary> DecodeEpochVocab(const std::vector<uint8_t>& bytes,
   return Vocabulary::Restore(std::move(tokens), std::move(dfs), num_documents);
 }
 
-Status DecodeDirectory(const std::vector<uint8_t>& bytes, uint64_t expected_total,
-                       std::vector<uint64_t>* offsets) {
+Status DecodeWeightedPostingList(const uint8_t* data, size_t size,
+                                 int64_t num_records, std::vector<int32_t>* records,
+                                 std::vector<double>* weights) {
+  ByteReader reader(data, size);
+  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(records));
+  // ReadDeltaVarints never yields a descending id, so a repeat is the only
+  // way not to ascend, and the last id bounds them all.
+  if (std::adjacent_find(records->begin(), records->end()) != records->end()) {
+    return BadStore("weighted posting record ids do not ascend");
+  }
+  if (!records->empty() && records->back() >= num_records) {
+    return BadStore("weighted posting references a record out of range");
+  }
+  weights->resize(records->size());
+  for (double& w : *weights) {
+    GL_ASSIGN_OR_RETURN(w, reader.ReadDouble());
+  }
+  if (!reader.AtEnd()) return BadStore("trailing bytes in weighted posting list");
+  return Status::Ok();
+}
+
+Status DecodeDirectory(const std::vector<uint8_t>& bytes, size_t expected_count,
+                       uint64_t expected_total, std::vector<uint64_t>* offsets) {
   ByteReader reader(bytes.data(), bytes.size());
   GL_ASSIGN_OR_RETURN(const int64_t count, reader.ReadCount());
-  if (static_cast<uint64_t>(count) > bytes.size()) {
-    return BadStore("implausible directory size");
+  if (static_cast<uint64_t>(count) != expected_count) {
+    return BadStore("directory entry count mismatch");
   }
   offsets->assign(static_cast<size_t>(count) + 1, 0);
   uint64_t total = 0;

@@ -41,11 +41,13 @@ enum SegmentId : uint32_t {
   kPostingsDir = 3,
   /// Delta+varint compressed posting lists (doc ids ascending).
   kPostings = 4,
-  /// Per-record byte length of each vector in kVectors.
-  kVectorsDir = 5,
-  /// Per-record TF-IDF vectors: delta+varint ids, weights as raw
-  /// IEEE-754 bits (bit-identical round trip).
-  kVectors = 6,
+  /// Per-token byte length of each list in kWeightedPostings.
+  kWeightedPostingsDir = 5,
+  /// The records' TF-IDF vectors, transposed: per epoch-vocab token, the
+  /// ids of every record holding it (ascending, delta+varint), then one
+  /// weight per record as raw IEEE-754 bits (bit-identical round trip).
+  /// A paged query reads only its probe tokens' lists.
+  kWeightedPostings = 6,
   /// Per-record sorted index token sets as passed to
   /// InvertedIndex::AddDocument — including entries of tombstoned,
   /// not-yet-compacted documents, so recovery rebuilds the exact index.
@@ -121,10 +123,18 @@ void EncodeEpochVocab(const Vocabulary& epoch_vocab, const Vocabulary& index_voc
 [[nodiscard]] Result<Vocabulary> DecodeEpochVocab(const std::vector<uint8_t>& bytes,
                                                   const Vocabulary& index_vocab);
 
+/// Decodes one token's list: record ids strictly ascending and below
+/// `num_records`, one weight per id, and nothing after the weights.
+[[nodiscard]] Status DecodeWeightedPostingList(const uint8_t* data, size_t size,
+                                               int64_t num_records,
+                                               std::vector<int32_t>* records,
+                                               std::vector<double>* weights);
+
 /// Decodes a directory segment (per-entry byte lengths) into prefix-sum
-/// offsets: out[i] is entry i's byte offset, out[count] the total, which
-/// must equal `expected_total`.
+/// offsets: out[i] is entry i's byte offset, out[count] the total. The
+/// count must equal `expected_count` and the total `expected_total`.
 [[nodiscard]] Status DecodeDirectory(const std::vector<uint8_t>& bytes,
+                                     size_t expected_count,
                                      uint64_t expected_total,
                                      std::vector<uint64_t>* offsets);
 

@@ -3,12 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/execution_context.h"
 #include "common/logging.h"
-#include "core/filter_refine.h"
-#include "matching/bipartite_graph.h"
-#include "text/tfidf.h"
-#include "text/tokenizer.h"
 
 namespace grouplink {
 namespace storage {
@@ -20,10 +15,9 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
   GL_ASSIGN_OR_RETURN(const StoreInfo info, ReadStoreInfo(*file));
 
   std::unique_ptr<StoredCorpus> corpus(new StoredCorpus());
-  corpus->file_ = file;
 
-  // Resident metadata: everything except the postings and vectors
-  // segments, whose bytes stay on disk behind the buffer pool.
+  // Resident metadata: everything except the postings and weighted
+  // postings segments, whose bytes stay on disk behind the buffer pool.
   GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> meta_bytes,
                       ReadWholeSegment(*file, info, kMeta));
   GL_RETURN_IF_ERROR(DecodeMeta(meta_bytes, &corpus->meta_));
@@ -37,18 +31,30 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
                       DecodeEpochVocab(epoch_dict_bytes, corpus->index_vocab_));
   GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> postings_dir,
                       ReadWholeSegment(*file, info, kPostingsDir));
-  GL_RETURN_IF_ERROR(DecodeDirectory(postings_dir, info.segments[kPostings].length,
+  GL_RETURN_IF_ERROR(DecodeDirectory(postings_dir, corpus->index_vocab_.size(),
+                                     info.segments[kPostings].length,
                                      &corpus->postings_offsets_));
-  if (corpus->postings_offsets_.size() != corpus->index_vocab_.size() + 1) {
-    return Status::DataLoss("postings directory entry count mismatch");
-  }
-  GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> vectors_dir,
-                      ReadWholeSegment(*file, info, kVectorsDir));
-  GL_RETURN_IF_ERROR(DecodeDirectory(vectors_dir, info.segments[kVectors].length,
-                                     &corpus->vectors_offsets_));
-  if (corpus->vectors_offsets_.size() !=
-      static_cast<size_t>(corpus->meta_.num_records) + 1) {
-    return Status::DataLoss("vectors directory entry count mismatch");
+  GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> weighted_dir,
+                      ReadWholeSegment(*file, info, kWeightedPostingsDir));
+  GL_RETURN_IF_ERROR(DecodeDirectory(weighted_dir, corpus->epoch_vocab_.size(),
+                                     info.segments[kWeightedPostings].length,
+                                     &corpus->weighted_offsets_));
+  // Slots of the live groups' records, as CorpusSnapshot::BuildScoringIndex
+  // derives them. Edges address a group's graph by slot, so lists that
+  // disagree with record_group are DataLoss, as in FromParts.
+  const MetaData& meta = corpus->meta_;
+  corpus->record_slot_.assign(static_cast<size_t>(meta.num_records), -1);
+  for (size_t g = 0; g < meta.group_records.size(); ++g) {
+    if (meta.group_alive[g] == 0) continue;
+    const std::vector<int32_t>& records = meta.group_records[g];
+    for (size_t i = 0; i < records.size(); ++i) {
+      const size_t r = static_cast<size_t>(records[i]);
+      if (r >= corpus->record_slot_.size() || corpus->record_slot_[r] != -1 ||
+          static_cast<size_t>(meta.record_group[r]) != g) {
+        return Status::DataLoss("group record lists disagree with record_group");
+      }
+      corpus->record_slot_[r] = static_cast<int32_t>(i);
+    }
   }
 
   corpus->buffer_ = std::make_unique<BufferManager>(
@@ -56,149 +62,89 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
   corpus->postings_reader_ =
       SegmentReader(corpus->buffer_.get(), info.segments[kPostings].first_page,
                     info.segments[kPostings].length);
-  corpus->vectors_reader_ =
-      SegmentReader(corpus->buffer_.get(), info.segments[kVectors].first_page,
-                    info.segments[kVectors].length);
+  corpus->weighted_reader_ = SegmentReader(
+      corpus->buffer_.get(), info.segments[kWeightedPostings].first_page,
+      info.segments[kWeightedPostings].length);
   return corpus;
 }
 
-Result<std::vector<int32_t>> StoredCorpus::CandidateGroups(
-    const std::vector<std::vector<int32_t>>& probe_token_ids) const {
-  // Same candidate set as CorpusSnapshot::CandidateGroupsForProbe: per
-  // probe record, documents sharing any token (tombstones excluded),
-  // mapped to their live groups; the final sort+unique makes per-list
-  // duplicate hits harmless, exactly as in the in-RAM path.
-  std::vector<int32_t> groups;
-  std::vector<int32_t> postings;
-  for (const std::vector<int32_t>& ids : probe_token_ids) {
-    for (const int32_t token : ids) {
-      const size_t t = static_cast<size_t>(token);
-      const uint64_t begin = postings_offsets_[t];
-      const size_t n_bytes = static_cast<size_t>(postings_offsets_[t + 1] - begin);
-      if (n_bytes == 0) continue;  // Token with an empty posting list.
-      GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                          postings_reader_.ReadAt(begin, n_bytes));
-      ByteReader reader(bytes.data(), bytes.size());
-      GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&postings));
-      if (!reader.AtEnd()) {
-        return Status::DataLoss("trailing bytes in posting list");
-      }
-      for (const int32_t doc : postings) {
-        if (static_cast<size_t>(doc) >= static_cast<size_t>(meta_.num_records)) {
-          return Status::DataLoss("posting references a record out of range");
-        }
-        if (meta_.record_removed[static_cast<size_t>(doc)] != 0) continue;
-        const int32_t g = meta_.record_group[static_cast<size_t>(doc)];
-        if (meta_.group_alive[static_cast<size_t>(g)] == 0) continue;
-        groups.push_back(g);
-      }
-    }
+Status StoredCorpus::ScoreProbes(
+    const std::vector<SparseVector>& probes,
+    std::vector<std::vector<WeightedPostings::Hit>>* hits) const {
+  // Each distinct probe token's list is paged in and decoded once, its
+  // live records kept, into a query-local CSR over the probe's sorted
+  // distinct tokens, so the work follows the probe, not the vocabulary.
+  // Probe ids are remapped to their ranks in that order-keeping list and
+  // the lists keep their ascending record order, so the accumulation is
+  // the in-RAM one, bit for bit.
+  std::vector<int32_t> tokens;
+  for (const SparseVector& probe : probes) {
+    tokens.insert(tokens.end(), probe.ids.begin(), probe.ids.end());
   }
-  std::sort(groups.begin(), groups.end());
-  groups.erase(std::unique(groups.begin(), groups.end()), groups.end());
-  return groups;
-}
+  std::sort(tokens.begin(), tokens.end());
+  tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
 
-Result<SparseVector> StoredCorpus::ReadVector(int32_t r) const {
-  const size_t index = static_cast<size_t>(r);
-  const uint64_t begin = vectors_offsets_[index];
-  const size_t n_bytes = static_cast<size_t>(vectors_offsets_[index + 1] - begin);
-  SparseVector vector;
-  if (n_bytes == 0) return vector;  // Tombstoned record: empty vector.
-  GL_ASSIGN_OR_RETURN(const std::vector<uint8_t> bytes,
-                      vectors_reader_.ReadAt(begin, n_bytes));
-  ByteReader reader(bytes.data(), bytes.size());
-  GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(&vector.ids));
-  vector.weights.resize(vector.ids.size());
-  for (double& w : vector.weights) {
-    GL_ASSIGN_OR_RETURN(w, reader.ReadDouble());
+  std::vector<size_t> offsets{0};
+  std::vector<int32_t> records;
+  std::vector<double> weights;
+  std::vector<uint8_t> bytes;
+  std::vector<int32_t> list_records;
+  std::vector<double> list_weights;
+  for (const int32_t token : tokens) {
+    const size_t t = static_cast<size_t>(token);
+    bytes.resize(weighted_offsets_[t + 1] - weighted_offsets_[t]);
+    GL_RETURN_IF_ERROR(
+        weighted_reader_.ReadAt(weighted_offsets_[t], bytes.size(), bytes.data()));
+    GL_RETURN_IF_ERROR(DecodeWeightedPostingList(bytes.data(), bytes.size(),
+                                                 meta_.num_records, &list_records,
+                                                 &list_weights));
+    for (size_t k = 0; k < list_records.size(); ++k) {
+      if (record_slot_[static_cast<size_t>(list_records[k])] < 0) continue;
+      records.push_back(list_records[k]);
+      weights.push_back(list_weights[k]);
+    }
+    offsets.push_back(records.size());
   }
-  if (!reader.AtEnd()) {
-    return Status::DataLoss("trailing bytes in record vector");
+  const WeightedPostings postings(std::move(offsets), std::move(records),
+                                  std::move(weights), record_slot_.size());
+  SparseVector local;
+  for (size_t j = 0; j < probes.size(); ++j) {
+    local.ids.clear();
+    for (const int32_t id : probes[j].ids) {
+      local.ids.push_back(static_cast<int32_t>(
+          std::lower_bound(tokens.begin(), tokens.end(), id) - tokens.begin()));
+    }
+    local.weights = probes[j].weights;
+    postings.ScoresAtLeast(local, meta_.config.theta, &(*hits)[j]);
   }
-  return vector;
+  return Status::Ok();
 }
 
 Result<CorpusSnapshot::QueryResult> StoredCorpus::LinkQuery(
     const GroupArrival& group, const CorpusSnapshot::QueryOptions& options) const {
-  GL_CHECK(!group.record_texts.empty()) << "groups must have records";
-
-  CorpusSnapshot::QueryResult result;
-  result.epoch = meta_.epoch;
-
-  // Probe preparation: field-for-field the in-RAM path's (see
-  // CorpusSnapshot::LinkQuery) — tokenize, map into the index id space,
-  // vectorize against the epoch vocabulary.
-  const size_t probe_size = group.record_texts.size();
-  std::vector<std::vector<int32_t>> probe_ids(probe_size);
-  std::vector<SparseVector> probe_vectors(probe_size);
-  const TfIdfVectorizer vectorizer(&epoch_vocab_);
-  for (size_t i = 0; i < probe_size; ++i) {
-    const std::vector<std::string> raw = Tokenize(group.record_texts[i]);
-    const std::vector<std::string> set = ToTokenSet(raw);
-    for (const std::string& token : set) {
-      const int32_t id = index_vocab_.GetId(token);
-      if (id != Vocabulary::kUnknownToken) probe_ids[i].push_back(id);
-      if (epoch_vocab_.GetId(token) == Vocabulary::kUnknownToken) {
-        ++result.oov_tokens;
-      }
-    }
-    std::sort(probe_ids[i].begin(), probe_ids[i].end());
-    probe_vectors[i] = vectorizer.Vectorize(raw);
-  }
-
-  ExecutionContext ctx;
-  if (options.deadline_ms > 0.0) ctx.SetDeadline(options.deadline_ms);
-  ctx.SetCancellation(options.cancellation);
-  ctx.SetMaxCandidatePairs(options.max_candidate_pairs);
-  ctx.SetMaxMatcherCost(options.max_matcher_cost);
-
-  GL_ASSIGN_OR_RETURN(std::vector<int32_t> candidates,
-                      CandidateGroups(probe_ids));
-  const size_t cap = ctx.EffectiveCandidateCap(candidates.size());
-  if (cap < candidates.size()) {
-    candidates.resize(cap);
-    ctx.NoteDegraded();
-  }
-  result.candidates = candidates.size();
-
-  FilterRefineConfig fr_config;
-  fr_config.theta = meta_.config.theta;
-  fr_config.group_threshold = meta_.config.group_threshold;
-  fr_config.use_upper_bound_filter =
-      meta_.config.use_filter_refine && meta_.config.use_upper_bound_filter;
-  fr_config.use_lower_bound_accept =
-      meta_.config.use_filter_refine && meta_.config.use_lower_bound_accept;
-
-  const int32_t size_right = static_cast<int32_t>(probe_size);
-  for (const int32_t g : candidates) {
-    if (ctx.StopRequested()) {
-      ctx.NoteDegraded();
-      break;
-    }
-    const std::vector<int32_t>& left =
-        meta_.group_records[static_cast<size_t>(g)];
-    const int32_t size_left = static_cast<int32_t>(left.size());
-    BipartiteGraph graph(size_left, size_right);
-    for (size_t i = 0; i < left.size(); ++i) {
-      // The one paged read per corpus record; weights are the exact
-      // stored bits, so every similarity below equals the in-RAM one.
-      GL_ASSIGN_OR_RETURN(const SparseVector corpus_vector,
-                          ReadVector(left[i]));
-      for (size_t j = 0; j < probe_size; ++j) {
-        const double s =
-            PrenormalizedCosineSimilarity(corpus_vector, probe_vectors[j]);
-        if (s >= meta_.config.theta) {
-          graph.AddEdge(static_cast<int32_t>(i), static_cast<int32_t>(j), s);
+  const CorpusSnapshot::QueryPlan plan{
+      meta_.epoch, &meta_.config, &index_vocab_, &epoch_vocab_,
+      &meta_.record_removed, &meta_.record_group, &record_slot_,
+      &meta_.group_records, &meta_.group_alive,
+      [this](int32_t token,
+             std::vector<int32_t>* docs) -> Result<std::span<const int32_t>> {
+        // One index token's posting list, paged in and decoded.
+        const size_t t = static_cast<size_t>(token);
+        std::vector<uint8_t> bytes(postings_offsets_[t + 1] - postings_offsets_[t]);
+        GL_RETURN_IF_ERROR(postings_reader_.ReadAt(postings_offsets_[t],
+                                                   bytes.size(), bytes.data()));
+        ByteReader reader(bytes.data(), bytes.size());
+        GL_RETURN_IF_ERROR(reader.ReadDeltaVarints(docs));
+        if (!reader.AtEnd()) return Status::DataLoss("trailing bytes in posting list");
+        // ReadDeltaVarints never yields a descending id, so the last one
+        // bounds them all.
+        if (!docs->empty() && docs->back() >= meta_.num_records) {
+          return Status::DataLoss("posting references a record out of range");
         }
-      }
-    }
-    if (DecideGraphLinked(graph, size_left, size_right, fr_config, &ctx)) {
-      result.linked_to.push_back(g);
-    }
-  }
-  result.degraded = ctx.degraded();
-  return result;
+        return std::span<const int32_t>(*docs);
+      },
+      [this](const auto& probes, auto* hits) { return ScoreProbes(probes, hits); }};
+  return CorpusSnapshot::RunLinkQuery(plan, group, options);
 }
 
 }  // namespace storage

@@ -16,19 +16,20 @@ namespace grouplink {
 namespace storage {
 
 /// Out-of-core LinkQuery serving directly from a store file: the big
-/// per-record data — posting lists and TF-IDF vectors — stays on disk
-/// and is paged in through a fixed-budget BufferManager, so a corpus
-/// much larger than the buffer pool can be served. Only the compact
-/// metadata (dictionaries, group structure, tombstones, directories) is
-/// resident.
+/// per-record data — index posting lists and the token-major weighted
+/// postings of the TF-IDF vectors — stays on disk and is paged in through
+/// a fixed-budget BufferManager. Only compact metadata (dictionaries,
+/// group structure, tombstones, directories, live records' slots) is
+/// resident. A query reads each distinct probe token's lists once, so its
+/// page reads follow the probe's tokens, not the candidate records.
 ///
 /// Decision-procedure contract: LinkQuery here answers bit-identically
-/// to CorpusSnapshot::LinkQuery over the same epoch — same candidates,
-/// same similarity arithmetic (the stored weights are raw IEEE-754
-/// bits), same filter-and-refine ladder. The differential suite
-/// (tests/storage_differential_test.cc) holds both paths to one link
-/// set across thread counts and buffer budgets, down to a
-/// pathologically tiny pool.
+/// to CorpusSnapshot::LinkQuery over the same epoch: both run
+/// CorpusSnapshot::RunLinkQuery, scoring through the same
+/// WeightedPostings accumulation over the same raw IEEE-754 weights.
+/// tests/storage_differential_test.cc and the paged half of
+/// tests/core_snapshot_scoring_test.cc hold the paths to one answer
+/// across thread counts and buffer budgets, down to a one-frame pool.
 ///
 /// Thread safety: every method is const over immutable resident state;
 /// the buffer pool is internally synchronized. Any number of threads
@@ -65,28 +66,26 @@ class StoredCorpus {
  private:
   StoredCorpus() = default;
 
-  /// Candidate groups of the probe (ascending, deduplicated): live
-  /// groups owning a non-tombstoned record that shares an index token.
-  [[nodiscard]] Result<std::vector<int32_t>> CandidateGroups(
-      const std::vector<std::vector<int32_t>>& probe_token_ids) const;
-
-  /// Reads and decodes record `r`'s TF-IDF vector from the paged
-  /// vectors segment.
-  [[nodiscard]] Result<SparseVector> ReadVector(int32_t r) const;
+  /// CorpusSnapshot::QueryPlan::score over the paged weighted postings.
+  [[nodiscard]] Status ScoreProbes(
+      const std::vector<SparseVector>& probes,
+      std::vector<std::vector<WeightedPostings::Hit>>* hits) const;
 
   // Resident metadata (immutable after Open).
   MetaData meta_;
   Vocabulary index_vocab_;
   Vocabulary epoch_vocab_;
-  std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |vocab|+1.
-  std::vector<uint64_t> vectors_offsets_;   // Prefix sums, size n_records+1.
+  std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |index vocab|+1.
+  std::vector<uint64_t> weighted_offsets_;  // Prefix sums, size |epoch vocab|+1.
+  // Each record's position in its live group's list, -1 for records of
+  // dead groups (CorpusSnapshot's record_slot_, rebuilt at Open).
+  std::vector<int32_t> record_slot_;
 
-  // Paged data plumbing. The BufferManager is internally synchronized;
-  // reaching it through const methods is safe by its contract.
-  std::shared_ptr<const PageFile> file_;
+  // Paged data plumbing. The BufferManager owns the file and is internally
+  // synchronized; reaching it through const methods is safe by contract.
   std::unique_ptr<BufferManager> buffer_;
   SegmentReader postings_reader_;
-  SegmentReader vectors_reader_;
+  SegmentReader weighted_reader_;
 };
 
 }  // namespace storage

@@ -1,11 +1,13 @@
-// Differential suite for CorpusSnapshot::LinkQuery's scoring path. The
-// query finds θ-edges by term-at-a-time accumulation over per-epoch
-// weighted postings; the reference below builds every candidate's graph
-// pair by pair with PrenormalizedCosineSimilarity, the way the query used
-// to. Seeded random corpora (with removes, merges, re-adds and
-// refreshes), awkward probes (OOV tokens, token-less records, repeated
-// tokens) and θ ∈ {0.05, default, 1.0} must give the same linked_to,
-// candidates, oov_tokens and degraded. Admission control (candidate cap,
+// Differential suite for the LinkQuery scoring path of both serving
+// paths: CorpusSnapshot (in RAM) and storage::StoredCorpus (paged, every
+// epoch persisted and opened at pools of 1 and 4096 frames). Both find
+// θ-edges by term-at-a-time accumulation over weighted postings; the
+// reference below builds every candidate's graph pair by pair with
+// PrenormalizedCosineSimilarity, the way the queries used to. Seeded
+// random corpora (with removes, merges, re-adds and refreshes), awkward
+// probes (OOV tokens, token-less records, repeated tokens) and
+// θ ∈ {0.05, default, 1.0} must give the same linked_to, candidates,
+// oov_tokens and degraded. Admission control (candidate cap,
 // cancellation, deadline) must keep its subset contract. Registered a
 // second time with GROUPLINK_FORCE_SCALAR=1 and in the TSan job: readers
 // on several threads share the thread-local scratch across epochs of
@@ -14,8 +16,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -28,6 +33,9 @@
 #include "data/bibliographic_generator.h"
 #include "index/weighted_postings.h"
 #include "matching/bipartite_graph.h"
+#include "storage/page_file.h"
+#include "storage/snapshot_store.h"
+#include "storage/stored_corpus.h"
 #include "text/tfidf.h"
 #include "text/tokenizer.h"
 
@@ -122,14 +130,74 @@ ReferenceAnswer PerPairQuery(const CorpusSnapshot& snapshot,
   return answer;
 }
 
+using QueryFn = std::function<Result<CorpusSnapshot::QueryResult>(
+    const GroupArrival&, const CorpusSnapshot::QueryOptions&)>;
+
+// One epoch persisted with small pages (real paging) and opened as a
+// StoredCorpus at a one-frame pool and at a pool holding the whole store.
+class PagedEpoch {
+ public:
+  explicit PagedEpoch(const CorpusSnapshot& snapshot) {
+    // The binary is registered twice and ctest may run both processes
+    // concurrently: the path must not collide.
+    static int next_store = 0;
+    path_ = ::testing::TempDir() + "/" + std::to_string(::getpid()) +
+            "_scoring_" + std::to_string(next_store++) + ".glsnap";
+    storage::StorageOptions options;
+    options.page_bytes = 512;
+    GL_CHECK(storage::SnapshotStore::Persist(snapshot, path_, options).ok());
+    for (const size_t pool : {size_t{1}, size_t{4096}}) {
+      options.buffer_pool_pages = pool;
+      auto opened = storage::StoredCorpus::Open(path_, options);
+      GL_CHECK(opened.ok()) << opened.status().ToString();
+      corpora_.push_back(std::move(*opened));
+    }
+  }
+  ~PagedEpoch() { GL_CHECK(storage::RemoveFile(path_).ok()); }
+  PagedEpoch(const PagedEpoch&) = delete;
+  PagedEpoch& operator=(const PagedEpoch&) = delete;
+
+  const std::vector<std::unique_ptr<storage::StoredCorpus>>& corpora() const {
+    return corpora_;
+  }
+
+ private:
+  std::string path_;
+  std::vector<std::unique_ptr<storage::StoredCorpus>> corpora_;
+};
+
+// Every LinkQuery path over one epoch: the snapshot itself, then the
+// paged store at each pool size.
+std::vector<std::pair<std::string, QueryFn>> QueryPaths(
+    const CorpusSnapshot& snapshot, const PagedEpoch& paged) {
+  std::vector<std::pair<std::string, QueryFn>> paths;
+  paths.emplace_back("in-RAM", [&snapshot](const GroupArrival& probe,
+                                           const CorpusSnapshot::QueryOptions& o) {
+    return Result<CorpusSnapshot::QueryResult>(snapshot.LinkQuery(probe, o));
+  });
+  for (const auto& stored : paged.corpora()) {
+    const storage::StoredCorpus* corpus = stored.get();
+    paths.emplace_back("paged pool " + std::to_string(corpus->pool_pages()),
+                       [corpus](const GroupArrival& probe,
+                                const CorpusSnapshot::QueryOptions& o) {
+                         return corpus->LinkQuery(probe, o);
+                       });
+  }
+  return paths;
+}
+
 void ExpectMatchesReference(const CorpusSnapshot& snapshot,
-                            const GroupArrival& probe, const std::string& what) {
+                            const PagedEpoch& paged, const GroupArrival& probe,
+                            const std::string& what) {
   const ReferenceAnswer expected = PerPairQuery(snapshot, probe);
-  const CorpusSnapshot::QueryResult got = snapshot.LinkQuery(probe);
-  EXPECT_EQ(got.linked_to, expected.linked_to) << what;
-  EXPECT_EQ(got.candidates, expected.candidates.size()) << what;
-  EXPECT_EQ(got.oov_tokens, expected.oov_tokens) << what;
-  EXPECT_FALSE(got.degraded) << what;
+  for (const auto& [path, query] : QueryPaths(snapshot, paged)) {
+    const auto got = query(probe, {});
+    ASSERT_TRUE(got.ok()) << what << " " << path << ": " << got.status().ToString();
+    EXPECT_EQ(got->linked_to, expected.linked_to) << what << " " << path;
+    EXPECT_EQ(got->candidates, expected.candidates.size()) << what << " " << path;
+    EXPECT_EQ(got->oov_tokens, expected.oov_tokens) << what << " " << path;
+    EXPECT_FALSE(got->degraded) << what << " " << path;
+  }
 }
 
 bool IsSubset(const std::vector<int32_t>& sub, const std::vector<int32_t>& of) {
@@ -323,6 +391,7 @@ TEST_P(SnapshotScoringTest, LinkQueryMatchesPerPairReference) {
     for (size_t s = 0; s < history.snapshots.size(); ++s) {
       const CorpusSnapshot& snapshot = *history.snapshots[s];
       ASSERT_TRUE(snapshot.CheckConsistency());
+      const PagedEpoch paged(snapshot);
       const std::string where =
           "seed " + std::to_string(seed) + " snapshot " + std::to_string(s);
       std::vector<GroupArrival> probes = history.held_out;
@@ -333,7 +402,8 @@ TEST_P(SnapshotScoringTest, LinkQueryMatchesPerPairReference) {
         }
       }
       for (const GroupArrival& probe : probes) {
-        ExpectMatchesReference(snapshot, probe, where + " probe " + probe.label);
+        ExpectMatchesReference(snapshot, paged, probe,
+                               where + " probe " + probe.label);
         links += snapshot.LinkQuery(probe).linked_to.size();
         ++queries;
       }
@@ -346,6 +416,7 @@ TEST_P(SnapshotScoringTest, LinkQueryMatchesPerPairReference) {
 TEST_P(SnapshotScoringTest, CandidateCapKeepsTheLowestGroupsAndASubset) {
   const History history = RandomHistory(4242, Config());
   const CorpusSnapshot& snapshot = *history.snapshots.back();
+  const PagedEpoch paged(snapshot);
   size_t checked = 0;
   for (const std::vector<std::string>& texts : history.live_texts) {
     const GroupArrival probe{"probe", texts};
@@ -355,16 +426,19 @@ TEST_P(SnapshotScoringTest, CandidateCapKeepsTheLowestGroupsAndASubset) {
                              full.candidates.size() - 1}) {
       CorpusSnapshot::QueryOptions options;
       options.max_candidate_pairs = static_cast<int64_t>(cap);
-      const CorpusSnapshot::QueryResult capped = snapshot.LinkQuery(probe, options);
-      EXPECT_EQ(capped.candidates, cap);
-      EXPECT_TRUE(capped.degraded);
       // Exactly the unconstrained links among the `cap` lowest candidates.
       std::vector<int32_t> expected;
       for (const int32_t g : full.linked_to) {
         if (g <= full.candidates[cap - 1]) expected.push_back(g);
       }
-      EXPECT_EQ(capped.linked_to, expected) << "cap " << cap;
-      EXPECT_TRUE(IsSubset(capped.linked_to, full.linked_to));
+      for (const auto& [path, query] : QueryPaths(snapshot, paged)) {
+        const auto capped = query(probe, options);
+        ASSERT_TRUE(capped.ok()) << path << ": " << capped.status().ToString();
+        EXPECT_EQ(capped->candidates, cap) << path;
+        EXPECT_TRUE(capped->degraded) << path;
+        EXPECT_EQ(capped->linked_to, expected) << path << " cap " << cap;
+        EXPECT_TRUE(IsSubset(capped->linked_to, full.linked_to)) << path;
+      }
       ++checked;
     }
   }
@@ -374,6 +448,7 @@ TEST_P(SnapshotScoringTest, CandidateCapKeepsTheLowestGroupsAndASubset) {
 TEST_P(SnapshotScoringTest, CancelledAndExpiredQueriesReturnDegradedSubsets) {
   const History history = RandomHistory(777, Config());
   const CorpusSnapshot& snapshot = *history.snapshots.back();
+  const PagedEpoch paged(snapshot);
   size_t checked = 0;
   for (const std::vector<std::string>& texts : history.live_texts) {
     const GroupArrival probe{"probe", texts};
@@ -382,17 +457,17 @@ TEST_P(SnapshotScoringTest, CancelledAndExpiredQueriesReturnDegradedSubsets) {
 
     CorpusSnapshot::QueryOptions cancelled;
     cancelled.cancellation.Cancel();
-    const CorpusSnapshot::QueryResult shed = snapshot.LinkQuery(probe, cancelled);
-    EXPECT_TRUE(shed.degraded);
-    EXPECT_EQ(shed.candidates, full.candidates.size());
-    EXPECT_TRUE(IsSubset(shed.linked_to, full.linked_to));
-
     CorpusSnapshot::QueryOptions expired;
     expired.deadline_ms = 1e-9;  // Past before the first candidate.
-    const CorpusSnapshot::QueryResult late = snapshot.LinkQuery(probe, expired);
-    EXPECT_TRUE(late.degraded);
-    EXPECT_EQ(late.candidates, full.candidates.size());
-    EXPECT_TRUE(IsSubset(late.linked_to, full.linked_to));
+    for (const auto& [path, query] : QueryPaths(snapshot, paged)) {
+      for (const CorpusSnapshot::QueryOptions& options : {cancelled, expired}) {
+        const auto shed = query(probe, options);
+        ASSERT_TRUE(shed.ok()) << path << ": " << shed.status().ToString();
+        EXPECT_TRUE(shed->degraded) << path;
+        EXPECT_EQ(shed->candidates, full.candidates.size()) << path;
+        EXPECT_TRUE(IsSubset(shed->linked_to, full.linked_to)) << path;
+      }
+    }
     ++checked;
   }
   EXPECT_GT(checked, 0u);

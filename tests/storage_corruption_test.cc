@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <memory>
@@ -18,8 +19,10 @@
 #include "core/incremental.h"
 #include "core/snapshot.h"
 #include "data/bibliographic_generator.h"
+#include "storage/page.h"
 #include "storage/page_file.h"
 #include "storage/store_format.h"
+#include "storage/stored_corpus.h"
 
 namespace grouplink {
 namespace storage {
@@ -181,6 +184,264 @@ TEST_F(StorageCorruptionTest, ForeignFileIsDataLossNotACrash) {
   const auto loaded = SnapshotStore::Load(path_);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+}
+
+// --- Decoders behind the CRC. The stores below are re-laid from forged
+// --- segment bytes with every page re-sealed, so each page passes its
+// --- checksum and the segment decoders themselves must reject the bytes.
+
+using Segments = std::array<std::vector<uint8_t>, kNumSegments>;
+
+/// The segments of the store at `path`, as Persist wrote them.
+Segments ReadSegments(const std::string& path) {
+  auto file = PageFile::Open(path);
+  GL_CHECK(file.ok());
+  const auto info = ReadStoreInfo(**file);
+  GL_CHECK(info.ok());
+  Segments segments;
+  for (uint32_t s = 0; s < kNumSegments; ++s) {
+    auto bytes = ReadWholeSegment(**file, *info, static_cast<SegmentId>(s));
+    GL_CHECK(bytes.ok());
+    segments[s] = std::move(*bytes);
+  }
+  return segments;
+}
+
+/// Lays `segments` out in Persist's page layout (header, segment pages,
+/// seal) with 512-byte pages, sealing every page with a valid checksum.
+std::vector<uint8_t> LayOutStore(const Segments& segments, int64_t epoch) {
+  constexpr uint32_t page_bytes = 512;
+  StoreInfo info;
+  info.page_bytes = page_bytes;
+  uint64_t next_page = 1;
+  for (uint32_t s = 0; s < kNumSegments; ++s) {
+    info.segments[s] = {next_page, segments[s].size()};
+    next_page += info.PagesOf(static_cast<SegmentId>(s));
+  }
+  info.num_pages = next_page + 1;
+  std::vector<uint8_t> store(info.num_pages * page_bytes, 0);
+  const auto put_page = [&](uint64_t page, PageType type, const uint8_t* payload,
+                            size_t size) {
+    uint8_t* frame = store.data() + page * page_bytes;
+    std::copy(payload, payload + size, frame + kPageHeaderBytes);
+    SealPageFrame(static_cast<uint32_t>(page), type, static_cast<uint32_t>(size),
+                  frame, page_bytes);
+  };
+  const std::vector<uint8_t> header = EncodeHeaderPayload(info);
+  put_page(0, PageType::kHeader, header.data(), header.size());
+  const uint64_t cap = PagePayloadCapacity(page_bytes);
+  for (uint32_t s = 0; s < kNumSegments; ++s) {
+    for (uint64_t done = 0; done < segments[s].size(); done += cap) {
+      put_page(info.segments[s].first_page + done / cap, PageType::kSegment,
+               segments[s].data() + done,
+               std::min<uint64_t>(cap, segments[s].size() - done));
+    }
+  }
+  const std::vector<uint8_t> seal = EncodeSealPayload(info, epoch);
+  put_page(info.num_pages - 1, PageType::kSeal, seal.data(), seal.size());
+  return store;
+}
+
+/// Each token's list in segment `data` (directory `dir`), as raw bytes.
+std::vector<std::vector<uint8_t>> Lists(const Segments& segments, SegmentId dir,
+                                        SegmentId data, size_t num_tokens) {
+  std::vector<uint64_t> offsets;
+  GL_CHECK(DecodeDirectory(segments[dir], num_tokens, segments[data].size(), &offsets)
+               .ok());
+  std::vector<std::vector<uint8_t>> lists;
+  for (size_t t = 0; t + 1 < offsets.size(); ++t) {
+    lists.emplace_back(segments[data].begin() + offsets[t],
+                       segments[data].begin() + offsets[t + 1]);
+  }
+  return lists;
+}
+
+/// `segments` with segment `data` and its directory `dir` re-encoded
+/// from `lists`.
+Segments WithLists(Segments segments, SegmentId dir, SegmentId data,
+                   const std::vector<std::vector<uint8_t>>& lists) {
+  segments[dir].clear();
+  segments[data].clear();
+  PutVarint(segments[dir], lists.size());
+  for (const std::vector<uint8_t>& list : lists) {
+    PutVarint(segments[dir], list.size());
+    segments[data].insert(segments[data].end(), list.begin(), list.end());
+  }
+  return segments;
+}
+
+/// A delta-varint list of two ids, `first` then `second`, whose gap is
+/// written as the 64-bit two's complement it wraps to when `second` is
+/// below `first` (a ten-byte varint).
+std::vector<uint8_t> TwoIdList(int32_t first, int32_t second) {
+  std::vector<uint8_t> list;
+  PutVarint(list, 2);
+  PutVarint(list, static_cast<uint64_t>(first));
+  PutVarint(list, static_cast<uint64_t>(second) - static_cast<uint64_t>(first));
+  return list;
+}
+
+class StorageDecoderTest : public StorageCorruptionTest {
+ protected:
+  void SetUp() override {
+    StorageCorruptionTest::SetUp();
+    segments_ = ReadSegments(path_);
+    // The probe is record 0's group, so its vector holds record 0's
+    // first epoch token, the one the forged lists below replace.
+    const Dataset dataset = MakeCorpus(15, 29);
+    for (const Group& group : dataset.groups) {
+      if (group.record_ids.front() != 0) continue;
+      for (const int32_t r : group.record_ids) {
+        probe_.record_texts.push_back(dataset.records[static_cast<size_t>(r)].text);
+      }
+    }
+    GL_CHECK(!probe_.record_texts.empty());
+    token_ = static_cast<size_t>(snapshot_->record_vectors()[0].ids.front());
+  }
+
+  std::vector<std::vector<uint8_t>> CleanLists() const {
+    return Lists(segments_, kWeightedPostingsDir, kWeightedPostings,
+                 snapshot_->epoch_vocab().size());
+  }
+
+  /// The clean segments with token_'s weighted posting list replaced.
+  Segments WithForgedList(const std::vector<uint8_t>& list) const {
+    std::vector<std::vector<uint8_t>> lists = CleanLists();
+    lists[token_] = list;
+    return WithLists(segments_, kWeightedPostingsDir, kWeightedPostings, lists);
+  }
+
+  /// Load, and the paged path at a one-frame and a roomy pool (Open, or
+  /// else the probe's LinkQuery), must all be a clean DataLoss.
+  void ExpectDataLossEverywhere(const std::vector<uint8_t>& store,
+                                const std::string& what) {
+    WriteAll(path_, store);
+    const auto loaded = SnapshotStore::Load(path_);
+    ASSERT_FALSE(loaded.ok()) << what << ": Load accepted it";
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << what << ": " << loaded.status().message();
+    for (const size_t pool : {size_t{1}, size_t{64}}) {
+      StorageOptions options;
+      options.buffer_pool_pages = pool;
+      const auto opened = StoredCorpus::Open(path_, options);
+      if (!opened.ok()) {
+        EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+            << what << ": " << opened.status().message();
+        continue;
+      }
+      const auto answer = (*opened)->LinkQuery(probe_);
+      ASSERT_FALSE(answer.ok()) << what << ": LinkQuery accepted it, pool " << pool;
+      EXPECT_EQ(answer.status().code(), StatusCode::kDataLoss)
+          << what << ": " << answer.status().message();
+    }
+  }
+
+  Segments segments_;
+  GroupArrival probe_{"probe", {}};
+  size_t token_ = 0;
+};
+
+TEST_F(StorageDecoderTest, ReLaidCleanStoreIsByteIdenticalAsAControl) {
+  // The rewriter reproduces Persist's bytes, and the probe reaches the
+  // forged token's list through both paths.
+  EXPECT_EQ(LayOutStore(segments_, snapshot_->epoch()), clean_);
+  EXPECT_EQ(LayOutStore(WithForgedList(CleanLists()[token_]), snapshot_->epoch()),
+            clean_);
+  const auto opened = StoredCorpus::Open(path_);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  const auto answer = (*opened)->LinkQuery(probe_);
+  ASSERT_TRUE(answer.ok()) << answer.status().message();
+  EXPECT_EQ(answer->linked_to, snapshot_->LinkQuery(probe_).linked_to);
+  EXPECT_FALSE(answer->linked_to.empty());
+}
+
+TEST_F(StorageDecoderTest, WeightedPostingRecordOutOfRangeIsDataLoss) {
+  std::vector<uint8_t> list;
+  PutDeltaVarints(list, {snapshot_->num_records()});
+  PutDouble(list, 0.5);
+  ExpectDataLossEverywhere(LayOutStore(WithForgedList(list), snapshot_->epoch()),
+                           "record id at num_records");
+}
+
+TEST_F(StorageDecoderTest, NonAscendingWeightedPostingRecordsAreDataLoss) {
+  // A non-ascending pair is either a zero gap (a repeat) or a gap that
+  // wraps past 2^63 into a step down.
+  std::vector<uint8_t> list = TwoIdList(0, 0);
+  PutDouble(list, 0.5);
+  PutDouble(list, 0.5);
+  ExpectDataLossEverywhere(LayOutStore(WithForgedList(list), snapshot_->epoch()),
+                           "repeated record id");
+  // The first id is out of range and the last in range, so a bound on the
+  // last id alone would pass it.
+  list = TwoIdList(snapshot_->num_records() + 1000, 1);
+  PutDouble(list, 0.5);
+  PutDouble(list, 0.5);
+  ExpectDataLossEverywhere(LayOutStore(WithForgedList(list), snapshot_->epoch()),
+                           "descending record ids");
+}
+
+TEST_F(StorageDecoderTest, DescendingIndexPostingDocsAreDataLoss) {
+  // The index postings segment is read only by the paged path (Load
+  // rebuilds the index from the docs segment), so Open or LinkQuery
+  // must reject it at both pool sizes.
+  const std::string& text = snapshot_->epoch_vocab().TokenOf(static_cast<int32_t>(token_));
+  const size_t index_token = static_cast<size_t>(snapshot_->index_vocab().GetId(text));
+  std::vector<std::vector<uint8_t>> lists =
+      Lists(segments_, kPostingsDir, kPostings, snapshot_->index_vocab().size());
+  lists[index_token] = TwoIdList(snapshot_->num_records() + 1000, 1);
+  WriteAll(path_, LayOutStore(WithLists(segments_, kPostingsDir, kPostings, lists),
+                              snapshot_->epoch()));
+  for (const size_t pool : {size_t{1}, size_t{64}}) {
+    StorageOptions options;
+    options.buffer_pool_pages = pool;
+    const auto opened = StoredCorpus::Open(path_, options);
+    if (!opened.ok()) {
+      EXPECT_EQ(opened.status().code(), StatusCode::kDataLoss)
+          << opened.status().message();
+      continue;
+    }
+    const auto answer = (*opened)->LinkQuery(probe_);
+    ASSERT_FALSE(answer.ok()) << "LinkQuery accepted it, pool " << pool;
+    EXPECT_EQ(answer.status().code(), StatusCode::kDataLoss)
+        << answer.status().message();
+  }
+}
+
+TEST_F(StorageDecoderTest, ShortWeightBlockIsDataLoss) {
+  std::vector<uint8_t> list = CleanLists()[token_];
+  list.resize(list.size() - 3);
+  ExpectDataLossEverywhere(LayOutStore(WithForgedList(list), snapshot_->epoch()),
+                           "short weight block");
+}
+
+TEST_F(StorageDecoderTest, TrailingBytesInAWeightedPostingListAreDataLoss) {
+  std::vector<uint8_t> list = CleanLists()[token_];
+  list.push_back(0);
+  ExpectDataLossEverywhere(LayOutStore(WithForgedList(list), snapshot_->epoch()),
+                           "trailing byte");
+}
+
+TEST_F(StorageDecoderTest, DirectoryTotalDisagreeingWithSegmentIsDataLoss) {
+  Segments segments = segments_;
+  segments[kWeightedPostings].push_back(0);  // One byte no list owns.
+  ExpectDataLossEverywhere(LayOutStore(segments, snapshot_->epoch()), "segment longer");
+  segments = segments_;
+  segments[kWeightedPostings].pop_back();  // The last list loses a byte.
+  ExpectDataLossEverywhere(LayOutStore(segments, snapshot_->epoch()), "segment shorter");
+}
+
+TEST_F(StorageDecoderTest, VersionOneHeaderIsRejected) {
+  // The header payload is magic (8 bytes), then the u32 version.
+  std::vector<uint8_t> store = clean_;
+  store[kPageHeaderBytes + 8] = 1;
+  const uint32_t payload_len = store[12] | (store[13] << 8);
+  SealPageFrame(0, PageType::kHeader, payload_len, store.data(), 512);
+  ExpectDataLossEverywhere(store, "version 1 header");
+  WriteAll(path_, store);
+  const auto loaded = SnapshotStore::Load(path_);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_NE(loaded.status().message().find("version 1"), std::string::npos)
+      << loaded.status().message();
 }
 
 /// The snapshot's own frozen state as FromParts input: the starting

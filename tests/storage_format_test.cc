@@ -102,6 +102,16 @@ TEST(ByteCodecTest, TruncatedAndMalformedInputIsDataLoss) {
     std::vector<int32_t> list;
     EXPECT_EQ(reader.ReadDeltaVarints(&list).code(), StatusCode::kDataLoss);
   }
+  {
+    // A gap that wraps past 2^63 would step the ids down once cast.
+    std::vector<uint8_t> wrapped;
+    PutVarint(wrapped, 2);
+    PutVarint(wrapped, 1000000);
+    PutVarint(wrapped, ~uint64_t{0} - 999989);  // 10 - 1000000, wrapped.
+    ByteReader reader(wrapped.data(), wrapped.size());
+    std::vector<int32_t> list;
+    EXPECT_EQ(reader.ReadDeltaVarints(&list).code(), StatusCode::kDataLoss);
+  }
 }
 
 TEST(Crc32Test, DetectsEveryFlippedBitInASmallFrame) {

@@ -58,6 +58,12 @@ void ExpectSnapshotsEquivalent(const CorpusSnapshot& a, const CorpusSnapshot& b,
   EXPECT_EQ(a.num_records(), b.num_records());
   EXPECT_EQ(a.linked_pairs(), b.linked_pairs());
   EXPECT_EQ(a.cluster_labels(), b.cluster_labels());
+  // The token-major vector segment must transpose back bit for bit.
+  ASSERT_EQ(a.record_vectors().size(), b.record_vectors().size());
+  for (size_t r = 0; r < a.record_vectors().size(); ++r) {
+    EXPECT_EQ(a.record_vectors()[r].ids, b.record_vectors()[r].ids) << r;
+    EXPECT_EQ(a.record_vectors()[r].weights, b.record_vectors()[r].weights) << r;
+  }
   for (int32_t g = 0; g < a.num_groups(); ++g) {
     EXPECT_EQ(a.IsAlive(g), b.IsAlive(g)) << g;
     if (a.IsAlive(g)) {
