@@ -9,6 +9,7 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/filter_refine.h"
 #include "index/prefix_filter.h"
 #include "text/vector_store.h"
 
@@ -44,20 +45,6 @@ struct ShardOutput {
   std::vector<double> scores;
   double seconds_verify = 0.0;
   size_t verify_batches = 0;
-};
-
-// Outcome category of one bucket (mirrors filter_refine.cc). kSkipped is
-// the preallocated default, so a bucket a stop request prevented from
-// scoring stays in a well-defined state.
-enum class Decision : uint8_t {
-  kSkipped = 0,
-  kShedByCap,
-  kPrunedByUpperBound,
-  kAcceptedByLowerBound,
-  kRefinedLink,
-  kRefinedNoLink,
-  kDegradedLink,
-  kDegradedNoLink,
 };
 
 }  // namespace
@@ -222,136 +209,44 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
   s.group_pairs = buckets.size();
   s.seconds_bucket = timer.ElapsedSeconds();
 
-  // Stage 3 (score): buckets are independent, so score them in parallel
-  // into preallocated decision slots and aggregate serially in bucket
-  // order (mirrors filter_refine.cc).
+  // Stage 3 (score): every bucket is a candidate group pair whose graph
+  // is assembled from its edge list, decided by the filter-and-refine
+  // loop (UB-ordered cap, parallel decision slots, stop handling) in
+  // bucket order.
   timer.Reset();
   GL_TRACE_SPAN("edge_join.score");
-  struct BucketRef {
-    std::pair<int32_t, int32_t> groups;
-    const std::vector<Edge>* edges;
-  };
-  std::vector<BucketRef> bucket_refs;
-  bucket_refs.reserve(buckets.size());
+  std::vector<std::pair<int32_t, int32_t>> pairs;
+  std::vector<const std::vector<Edge>*> bucket_edges;
+  pairs.reserve(buckets.size());
+  bucket_edges.reserve(buckets.size());
   for (const auto& [group_pair, edges] : buckets) {
-    bucket_refs.push_back({group_pair, &edges});
+    pairs.push_back(group_pair);
+    bucket_edges.push_back(&edges);
   }
-
-  // Builds the bucket's bipartite graph from its edge list.
-  const auto build_graph = [&](size_t i) {
-    const auto& [g1, g2] = bucket_refs[i].groups;
-    BipartiteGraph graph(dataset.GroupSize(g1), dataset.GroupSize(g2));
-    for (const Edge& edge : *bucket_refs[i].edges) {
-      graph.AddEdge(edge.left_pos, edge.right_pos, edge.weight);
-    }
-    return graph;
-  };
-
-  std::vector<Decision> decisions(bucket_refs.size(), Decision::kSkipped);
-
-  // Candidate budget (and the candidates.oversized fault): keep the best
-  // buckets by UB score — deterministic, it depends only on the buckets.
-  std::vector<char> keep;
-  const size_t cap =
-      ctx != nullptr ? ctx->EffectiveCandidateCap(bucket_refs.size()) : bucket_refs.size();
-  if (cap < bucket_refs.size()) {
-    std::vector<double> ub(bucket_refs.size(), 0.0);
-    ParallelFor(pool, bucket_refs.size(), [&](size_t i) {
-      const auto& [g1, g2] = bucket_refs[i].groups;
-      ub[i] = UpperBoundMeasure(build_graph(i), dataset.GroupSize(g1),
-                                dataset.GroupSize(g2));
-    });
-    std::vector<size_t> order(bucket_refs.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
-                     order.end(), [&](size_t a, size_t b) {
-                       if (ub[a] != ub[b]) return ub[a] > ub[b];
-                       return a < b;
-                     });
-    keep.assign(bucket_refs.size(), 0);
-    for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
-    for (size_t i = 0; i < keep.size(); ++i) {
-      if (!keep[i]) decisions[i] = Decision::kShedByCap;
-    }
-    ctx->NoteDegraded();
-  }
-
-  ParallelFor(
-      pool, bucket_refs.size(),
+  FilterRefineConfig fr_config;
+  fr_config.theta = config.theta;
+  fr_config.group_threshold = config.group_threshold;
+  fr_config.use_upper_bound_filter = config.use_upper_bound_filter;
+  fr_config.use_lower_bound_accept = config.use_lower_bound_accept;
+  FilterRefineStats fr_stats;
+  std::vector<std::pair<int32_t, int32_t>> linked = FilterRefineGraphs(
+      dataset, pairs,
       [&](size_t i) {
-        if (!keep.empty() && !keep[i]) return;  // Stays kShedByCap.
-        const auto& [g1, g2] = bucket_refs[i].groups;
-        const int32_t size_left = dataset.GroupSize(g1);
-        const int32_t size_right = dataset.GroupSize(g2);
-        const BipartiteGraph graph = build_graph(i);
-        if (config.use_upper_bound_filter &&
-            UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-          decisions[i] = Decision::kPrunedByUpperBound;
-          return;
+        BipartiteGraph graph(dataset.GroupSize(pairs[i].first),
+                             dataset.GroupSize(pairs[i].second));
+        for (const Edge& edge : *bucket_edges[i]) {
+          graph.AddEdge(edge.left_pos, edge.right_pos, edge.weight);
         }
-        if (config.use_lower_bound_accept &&
-            GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-          decisions[i] = Decision::kAcceptedByLowerBound;
-          return;
-        }
-        // Matcher budget: bounds-only decision on oversized pairs (LB is a
-        // sound lower bound on BM, so this only ever under-links).
-        const int64_t matcher_cost =
-            static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
-        if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
-          decisions[i] =
-              GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold
-                  ? Decision::kDegradedLink
-                  : Decision::kDegradedNoLink;
-          return;
-        }
-        decisions[i] =
-            BmMeasure(graph, size_left, size_right, ctx).value >= config.group_threshold
-                ? Decision::kRefinedLink
-                : Decision::kRefinedNoLink;
+        return graph;
       },
-      ctx);
-
-  std::vector<std::pair<int32_t, int32_t>> linked;
-  for (size_t i = 0; i < bucket_refs.size(); ++i) {
-    bool link = false;
-    switch (decisions[i]) {
-      case Decision::kSkipped:
-        ++s.skipped;
-        break;
-      case Decision::kShedByCap:
-        ++s.shed_candidates;
-        break;
-      case Decision::kPrunedByUpperBound:
-        ++s.pruned_by_upper_bound;
-        break;
-      case Decision::kAcceptedByLowerBound:
-        ++s.accepted_by_lower_bound;
-        link = true;
-        break;
-      case Decision::kRefinedLink:
-        ++s.refined;
-        link = true;
-        break;
-      case Decision::kRefinedNoLink:
-        ++s.refined;
-        break;
-      case Decision::kDegradedLink:
-        ++s.degraded_refines;
-        link = true;
-        break;
-      case Decision::kDegradedNoLink:
-        ++s.degraded_refines;
-        break;
-    }
-    if (link) {
-      linked.push_back(bucket_refs[i].groups);
-      ++s.linked;
-    }
-  }
-  if (ctx != nullptr && (s.skipped > 0 || s.degraded_refines > 0)) {
-    ctx->NoteDegraded();
-  }
+      fr_config, &fr_stats, pool, ctx);
+  s.pruned_by_upper_bound = fr_stats.pruned_by_upper_bound;
+  s.accepted_by_lower_bound = fr_stats.accepted_by_lower_bound;
+  s.refined = fr_stats.refined;
+  s.linked = fr_stats.linked;
+  s.shed_candidates = fr_stats.shed_candidates;
+  s.degraded_refines = fr_stats.degraded_refines;
+  s.skipped = fr_stats.skipped;
   if (s.skipped > 0) TagCurrentSpan("buckets_skipped", std::to_string(s.skipped));
   if (s.shed_candidates > 0) {
     TagCurrentSpan("buckets_shed", std::to_string(s.shed_candidates));
@@ -384,8 +279,8 @@ std::vector<std::pair<int32_t, int32_t>> EdgeJoinLink(
   m_shed.Increment(s.shed_candidates);
   m_degraded.Increment(s.degraded_refines);
   m_skipped.Increment(s.skipped);
-  for (const BucketRef& bucket : bucket_refs) {
-    m_bucket_size.Observe(static_cast<double>(bucket.edges->size()));
+  for (const std::vector<Edge>* edges : bucket_edges) {
+    m_bucket_size.Observe(static_cast<double>(edges->size()));
   }
   return linked;
 }

@@ -32,70 +32,47 @@ std::vector<uint32_t> GroupTokenUnion(const Group& group, const VectorStore& sto
 // absorbs the different summation orders of the two computations.
 constexpr double kBoundSlack = 1e-9;
 
-// Outcome category of one candidate pair. kSkipped is the preallocated
-// default, so a pair a stop request prevented from running stays in a
-// well-defined state.
-enum class Decision : uint8_t {
-  kSkipped = 0,
-  kShedByCap,
-  kEmptyGraph,
-  kPrunedByUpperBound,
-  kAcceptedByLowerBound,
-  kRefinedLink,
-  kRefinedNoLink,
-  kDegradedLink,
-  kDegradedNoLink,
-};
-
-// Batched-scoring context of one FilterRefineLink call: the engine's
-// vector store plus the per-group token unions for the zero-overlap
-// precheck. Null `store` means the generic `sim`-driven path.
-struct BatchContext {
-  const VectorStore* store = nullptr;
-  std::vector<std::vector<uint32_t>> group_tokens;
-};
-
-// Builds the pair's similarity graph — batched through the store when one
-// is available, per-pair `sim` calls otherwise. Bit-identical results.
-BipartiteGraph BuildGraph(const Dataset& dataset, const RecordSimFn& sim,
-                          int32_t g1, int32_t g2, double theta,
-                          const BatchContext& batch) {
-  if (batch.store != nullptr) {
-    // One scratch per worker thread, reused across pairs (self-cleaning).
-    thread_local VectorStore::Scratch scratch;
-    return BuildSimilarityGraphBatched(dataset, g1, g2, *batch.store, scratch, theta);
-  }
-  return BuildSimilarityGraph(dataset, g1, g2, sim, theta);
+// Deterministic candidate cap: keeps the `cap` pairs with the highest
+// upper-bound score (ties to the lower index), sheds the rest. Returns
+// the kept flags. The UB pass itself is not stop-checked so the kept set
+// depends only on the candidates, never on timing or thread count.
+std::vector<char> CapCandidatesByUpperBound(
+    const Dataset& dataset,
+    const std::vector<std::pair<int32_t, int32_t>>& candidates,
+    const CandidateGraphFn& graph_of, size_t cap, ThreadPool* pool) {
+  std::vector<double> ub(candidates.size(), 0.0);
+  ParallelFor(pool, candidates.size(), [&](size_t i) {
+    const auto [g1, g2] = candidates[i];
+    const BipartiteGraph graph = graph_of(i);
+    if (!graph.edges().empty()) {
+      ub[i] = UpperBoundMeasure(graph, dataset.GroupSize(g1), dataset.GroupSize(g2));
+    }
+  });
+  std::vector<size_t> order(candidates.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
+                   order.end(), [&](size_t a, size_t b) {
+                     if (ub[a] != ub[b]) return ub[a] > ub[b];
+                     return a < b;
+                   });
+  std::vector<char> keep(candidates.size(), 0);
+  for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
+  return keep;
 }
 
-// Scores one candidate pair; phase timers are optional (serial path only).
-Decision DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
-                    int32_t g2, const FilterRefineConfig& config,
-                    FilterRefineStats* timing, const ExecutionContext* ctx,
-                    const BatchContext& batch) {
-  const int32_t size_left = dataset.GroupSize(g1);
-  const int32_t size_right = dataset.GroupSize(g2);
+}  // namespace
 
-  WallTimer timer;
-  // Zero-overlap precheck (store path): groups sharing no weighted token
-  // cannot produce a single edge, so the pair classifies as an empty
-  // graph without touching a record pair — the exact outcome the full
-  // graph build would reach.
-  if (batch.store != nullptr) {
-    const std::vector<uint32_t>& ta = batch.group_tokens[static_cast<size_t>(g1)];
-    const std::vector<uint32_t>& tb = batch.group_tokens[static_cast<size_t>(g2)];
-    if (SortedIntersectCount(ta.data(), ta.size(), tb.data(), tb.size()) == 0) {
-      if (timing != nullptr) timing->seconds_graphs += timer.ElapsedSeconds();
-      return Decision::kEmptyGraph;
-    }
-  }
-  const BipartiteGraph graph =
-      BuildGraph(dataset, sim, g1, g2, config.theta, batch);
-  if (timing != nullptr) timing->seconds_graphs += timer.ElapsedSeconds();
+bool IsLink(Decision decision) {
+  return decision == Decision::kAcceptedByLowerBound ||
+         decision == Decision::kRefinedLink || decision == Decision::kDegradedLink;
+}
 
+Decision DecideGraph(const BipartiteGraph& graph, int32_t size_left,
+                     int32_t size_right, const FilterRefineConfig& config,
+                     const ExecutionContext* ctx, FilterRefineStats* timing) {
   if (graph.edges().empty()) return Decision::kEmptyGraph;
 
-  timer.Reset();
+  WallTimer timer;
   if (config.use_upper_bound_filter &&
       UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
     if (timing != nullptr) timing->seconds_bounds += timer.ElapsedSeconds();
@@ -116,6 +93,7 @@ Decision DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
   const int64_t matcher_cost =
       static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
   if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
+    ctx->NoteDegraded();
     const bool link =
         GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
     if (timing != nullptr) timing->seconds_refine += timer.ElapsedSeconds();
@@ -126,48 +104,16 @@ Decision DecidePair(const Dataset& dataset, const RecordSimFn& sim, int32_t g1,
   // the upper bound must dominate the refined value unconditionally.
   GL_DCHECK_LE(refined,
                UpperBoundMeasure(graph, size_left, size_right) + kBoundSlack)
-      << "upper bound does not dominate refined BM for pair (" << g1 << ", "
-      << g2 << ")";
+      << "upper bound does not dominate refined BM";
   const bool link = refined >= config.group_threshold;
   if (timing != nullptr) timing->seconds_refine += timer.ElapsedSeconds();
   return link ? Decision::kRefinedLink : Decision::kRefinedNoLink;
 }
 
-// Deterministic candidate cap: keeps the `cap` pairs with the highest
-// upper-bound score (ties to the lower index), sheds the rest. Returns
-// the kept flags. The UB pass itself is not stop-checked so the kept set
-// depends only on the candidates, never on timing or thread count.
-std::vector<char> CapCandidatesByUpperBound(
-    const Dataset& dataset, const RecordSimFn& sim,
-    const std::vector<std::pair<int32_t, int32_t>>& candidates, double theta,
-    size_t cap, ThreadPool* pool, const BatchContext& batch) {
-  std::vector<double> ub(candidates.size(), 0.0);
-  ParallelFor(pool, candidates.size(), [&](size_t i) {
-    const auto [g1, g2] = candidates[i];
-    const BipartiteGraph graph = BuildGraph(dataset, sim, g1, g2, theta, batch);
-    if (!graph.edges().empty()) {
-      ub[i] = UpperBoundMeasure(graph, dataset.GroupSize(g1), dataset.GroupSize(g2));
-    }
-  });
-  std::vector<size_t> order(candidates.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::nth_element(order.begin(), order.begin() + static_cast<ptrdiff_t>(cap),
-                   order.end(), [&](size_t a, size_t b) {
-                     if (ub[a] != ub[b]) return ub[a] > ub[b];
-                     return a < b;
-                   });
-  std::vector<char> keep(candidates.size(), 0);
-  for (size_t k = 0; k < cap; ++k) keep[order[k]] = 1;
-  return keep;
-}
-
-}  // namespace
-
-std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
-    const Dataset& dataset, const RecordSimFn& sim,
-    const std::vector<std::pair<int32_t, int32_t>>& candidates,
-    const FilterRefineConfig& config, FilterRefineStats* stats, ThreadPool* pool,
-    ExecutionContext* ctx, const VectorStore* store) {
+std::vector<std::pair<int32_t, int32_t>> FilterRefineGraphs(
+    const Dataset& dataset, const std::vector<std::pair<int32_t, int32_t>>& candidates,
+    const CandidateGraphFn& graph_of, const FilterRefineConfig& config,
+    FilterRefineStats* stats, ThreadPool* pool, ExecutionContext* ctx) {
   FilterRefineStats local_stats;
   FilterRefineStats& s = stats != nullptr ? *stats : local_stats;
   s = FilterRefineStats();
@@ -176,44 +122,36 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
   const bool parallel = pool != nullptr && pool->num_threads() > 1;
   std::vector<Decision> decisions(candidates.size(), Decision::kSkipped);
 
-  // Batched-scoring setup: per-group token unions for the zero-overlap
-  // precheck (independent per group, so the build parallelizes).
-  BatchContext batch;
-  batch.store = store;
-  if (store != nullptr) {
-    batch.group_tokens.resize(dataset.groups.size());
-    ParallelFor(parallel ? pool : nullptr, dataset.groups.size(), [&](size_t g) {
-      batch.group_tokens[g] = GroupTokenUnion(dataset.groups[g], *store);
-    });
-  }
-
   // Candidate budget (and the candidates.oversized fault): keep the best
   // pairs by UB score, shed the rest before any exact scoring.
   std::vector<char> keep;
   const size_t cap =
       ctx != nullptr ? ctx->EffectiveCandidateCap(candidates.size()) : candidates.size();
   if (cap < candidates.size()) {
-    keep = CapCandidatesByUpperBound(dataset, sim, candidates, config.theta, cap,
-                                     parallel ? pool : nullptr, batch);
+    keep = CapCandidatesByUpperBound(dataset, candidates, graph_of, cap,
+                                     parallel ? pool : nullptr);
     for (size_t i = 0; i < keep.size(); ++i) {
       if (!keep[i]) decisions[i] = Decision::kShedByCap;
     }
     ctx->NoteDegraded();
   }
 
+  FilterRefineStats* timing = parallel ? nullptr : &s;  // Serial only.
   ParallelFor(
       parallel ? pool : nullptr, candidates.size(),
       [&](size_t i) {
         if (!keep.empty() && !keep[i]) return;  // Stays kShedByCap.
-        decisions[i] = DecidePair(dataset, sim, candidates[i].first,
-                                  candidates[i].second, config,
-                                  parallel ? nullptr : &s, ctx, batch);
+        WallTimer timer;
+        const BipartiteGraph graph = graph_of(i);
+        if (timing != nullptr) timing->seconds_graphs += timer.ElapsedSeconds();
+        decisions[i] = DecideGraph(graph, dataset.GroupSize(candidates[i].first),
+                                   dataset.GroupSize(candidates[i].second), config,
+                                   ctx, timing);
       },
       ctx);
 
   std::vector<std::pair<int32_t, int32_t>> linked;
   for (size_t i = 0; i < candidates.size(); ++i) {
-    bool link = false;
     switch (decisions[i]) {
       case Decision::kSkipped:
         ++s.skipped;
@@ -229,24 +167,17 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
         break;
       case Decision::kAcceptedByLowerBound:
         ++s.accepted_by_lower_bound;
-        link = true;
         break;
       case Decision::kRefinedLink:
-        ++s.refined;
-        link = true;
-        break;
       case Decision::kRefinedNoLink:
         ++s.refined;
         break;
       case Decision::kDegradedLink:
-        ++s.degraded_refines;
-        link = true;
-        break;
       case Decision::kDegradedNoLink:
         ++s.degraded_refines;
         break;
     }
-    if (link) {
+    if (IsLink(decisions[i])) {
       linked.push_back(candidates[i]);
       ++s.linked;
     }
@@ -279,29 +210,44 @@ std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
   return linked;
 }
 
-bool DecideGraphLinked(const BipartiteGraph& graph, int32_t size_left,
-                       int32_t size_right, const FilterRefineConfig& config,
-                       const ExecutionContext* ctx) {
-  // Keep this ladder in lockstep with DecidePair above: the streaming and
-  // serving paths decide single pairs through here, and the equivalence
-  // tests hold their links bit-equal to the batch pipeline's.
-  if (graph.edges().empty()) return false;
-  if (config.use_upper_bound_filter &&
-      UpperBoundMeasure(graph, size_left, size_right) < config.group_threshold) {
-    return false;
+std::vector<std::pair<int32_t, int32_t>> FilterRefineLink(
+    const Dataset& dataset, const RecordSimFn& sim,
+    const std::vector<std::pair<int32_t, int32_t>>& candidates,
+    const FilterRefineConfig& config, FilterRefineStats* stats, ThreadPool* pool,
+    ExecutionContext* ctx, const VectorStore* store) {
+  if (store == nullptr) {
+    return FilterRefineGraphs(
+        dataset, candidates,
+        [&](size_t i) {
+          return BuildSimilarityGraph(dataset, candidates[i].first,
+                                      candidates[i].second, sim, config.theta);
+        },
+        config, stats, pool, ctx);
   }
-  if (config.use_lower_bound_accept &&
-      GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold) {
-    return true;
-  }
-  const int64_t matcher_cost =
-      static_cast<int64_t>(size_left) * static_cast<int64_t>(size_right);
-  if (ctx != nullptr && ctx->ExceedsMatcherBudget(matcher_cost)) {
-    ctx->NoteDegraded();
-    return GreedyLowerBound(graph, size_left, size_right) >= config.group_threshold;
-  }
-  return BmMeasure(graph, size_left, size_right, ctx).value >=
-         config.group_threshold;
+  // Batched scoring: per-group token unions for the zero-overlap precheck
+  // (independent per group, so the build parallelizes).
+  std::vector<std::vector<uint32_t>> group_tokens(dataset.groups.size());
+  ParallelFor(pool != nullptr && pool->num_threads() > 1 ? pool : nullptr,
+              dataset.groups.size(), [&](size_t g) {
+                group_tokens[g] = GroupTokenUnion(dataset.groups[g], *store);
+              });
+  return FilterRefineGraphs(
+      dataset, candidates,
+      [&](size_t i) {
+        const auto [g1, g2] = candidates[i];
+        // Groups sharing no weighted token cannot produce a single edge:
+        // an edgeless graph, the exact outcome of the full build.
+        const std::vector<uint32_t>& ta = group_tokens[static_cast<size_t>(g1)];
+        const std::vector<uint32_t>& tb = group_tokens[static_cast<size_t>(g2)];
+        if (SortedIntersectCount(ta.data(), ta.size(), tb.data(), tb.size()) == 0) {
+          return BipartiteGraph(0, 0);
+        }
+        // One scratch per worker thread, reused across pairs (self-cleaning).
+        thread_local VectorStore::Scratch scratch;
+        return BuildSimilarityGraphBatched(dataset, g1, g2, *store, scratch,
+                                           config.theta);
+      },
+      config, stats, pool, ctx);
 }
 
 std::vector<std::pair<int32_t, int32_t>> BruteForceBmLink(

@@ -2,6 +2,7 @@
 #define GROUPLINK_CORE_FILTER_REFINE_H_
 
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -51,28 +52,81 @@ struct FilterRefineStats {
   double seconds_refine = 0.0;
 };
 
-/// Decides, for each candidate group pair, whether BM_θ >= Θ, using the
-/// filter-and-refine strategy. With sound bounds (the default) the output
-/// is *identical* to evaluating exact BM on every candidate — that
-/// equivalence is covered by an integration test — while the Hungarian
-/// algorithm only runs on the small fraction of pairs where the bounds
-/// disagree.
+/// Outcome of one candidate pair. kSkipped is the preallocated default,
+/// so a pair a stop request prevented from running stays in a
+/// well-defined state.
+enum class Decision : uint8_t {
+  kSkipped = 0,
+  kShedByCap,
+  kEmptyGraph,
+  kPrunedByUpperBound,
+  kAcceptedByLowerBound,
+  kRefinedLink,
+  kRefinedNoLink,
+  kDegradedLink,
+  kDegradedNoLink,
+};
+
+/// True for the decisions that emit a link.
+[[nodiscard]] bool IsLink(Decision decision);
+
+/// The decision ladder on a prebuilt θ-thresholded similarity graph, and
+/// the one definition of "do these two groups link": empty graph -> no
+/// link, UB < Θ -> prune, LB >= Θ -> accept, matcher budget trip ->
+/// decide from the sound LB (marking `ctx` degraded), otherwise exact
+/// BM >= Θ. Every path decides through it: FilterRefineGraphs (the
+/// per-pair engine, the edge join's buckets and the streaming refresh),
+/// the streaming arrival path and both LinkQuery paths.
 ///
-/// Returns the linked pairs (subset of `candidates`, same order).
+/// `size_left` / `size_right` are the group sizes |g1| / |g2| (the graph
+/// only has cross edges, so isolated records are invisible to it). A
+/// non-null `timing` accumulates the bounds and refine wall times.
+[[nodiscard]] Decision DecideGraph(const BipartiteGraph& graph, int32_t size_left,
+                                   int32_t size_right,
+                                   const FilterRefineConfig& config,
+                                   const ExecutionContext* ctx = nullptr,
+                                   FilterRefineStats* timing = nullptr);
+
+/// Builds the θ-thresholded similarity graph of candidate `i` (left side
+/// = candidates[i].first). Called from pool workers, and once more per
+/// candidate when a candidate cap ranks them, so it must be thread-safe
+/// and deterministic. A graph with no edges classifies the pair as
+/// kEmptyGraph; its dimensions are then never read.
+using CandidateGraphFn = std::function<BipartiteGraph(size_t)>;
+
+/// Decides every candidate group pair through DecideGraph on the graphs
+/// `graph_of` builds, and returns the linked pairs (a subset of
+/// `candidates`, same order). Group sizes come from `dataset`.
 ///
-/// With a non-null `pool`, candidates are scored in parallel (`sim` must
-/// then be thread-safe — the engine's default TF-IDF cosine is, being a
-/// pure read of precomputed vectors). The output and stats counters are
-/// identical to the serial run; the per-phase timing breakdown is only
-/// populated serially.
+/// With a non-null `pool`, candidates are decided in parallel into
+/// preallocated slots; the output and stats counters are identical to the
+/// serial run, while the per-phase timing breakdown is only populated
+/// serially.
 ///
 /// With a non-null `ctx`, the run degrades instead of running unbounded:
 /// a candidate budget keeps only the top pairs by upper-bound score
-/// (deterministic — depends on the pairs alone, not timing), the matcher
-/// budget swaps Hungarian for the sound bounds-only fallback on oversized
-/// pairs, and a deadline/cancellation trip sheds the remaining pairs.
-/// Every degraded decision can only *remove* links relative to the
-/// unconstrained run, so the output is always a subset of it.
+/// (ties to the lower index; deterministic — it depends on the pairs
+/// alone, not timing), the matcher budget swaps Hungarian for the sound
+/// bounds-only fallback on oversized pairs, and a deadline/cancellation
+/// trip sheds the remaining pairs. Every degraded decision can only
+/// *remove* links relative to the unconstrained run, so the output is
+/// always a subset of it.
+///
+/// The per-run stats are mirrored into the filter_refine.* registry
+/// counters.
+[[nodiscard]] std::vector<std::pair<int32_t, int32_t>> FilterRefineGraphs(
+    const Dataset& dataset, const std::vector<std::pair<int32_t, int32_t>>& candidates,
+    const CandidateGraphFn& graph_of, const FilterRefineConfig& config,
+    FilterRefineStats* stats = nullptr, ThreadPool* pool = nullptr,
+    ExecutionContext* ctx = nullptr);
+
+/// FilterRefineGraphs over graphs built pair by pair with `sim`. With
+/// sound bounds (the default) the output is *identical* to evaluating
+/// exact BM on every candidate — that equivalence is covered by an
+/// integration test — while the Hungarian algorithm only runs on the
+/// small fraction of pairs where the bounds disagree. With a non-null
+/// `pool`, `sim` must be thread-safe (the engine's default TF-IDF cosine
+/// is, being a pure read of precomputed vectors).
 ///
 /// With a non-null `store` (the engine passes its VectorStore when `sim`
 /// is the default TF-IDF similarity), similarity graphs are built through
@@ -88,24 +142,6 @@ struct FilterRefineStats {
     const FilterRefineConfig& config, FilterRefineStats* stats = nullptr,
     ThreadPool* pool = nullptr, ExecutionContext* ctx = nullptr,
     const VectorStore* store = nullptr);
-
-/// Single-pair link decision on a prebuilt θ-thresholded similarity
-/// graph: the exact decision ladder of the pipeline's per-pair scoring —
-/// empty graph -> no link, UB < Θ -> prune, LB >= Θ -> accept, matcher
-/// budget trip -> decide from the sound LB (marking `ctx` degraded),
-/// otherwise exact BM >= Θ. This is the one definition of "do these two
-/// groups link" shared by the streaming arrival path
-/// (IncrementalLinker::DecideLink) and the serving read path
-/// (CorpusSnapshot::LinkQuery); FilterRefineLink's batch loop keeps its
-/// own stats-annotated copy of the same ladder, which the streaming ==
-/// batch equivalence suite holds bit-equal to this one.
-///
-/// `size_left` / `size_right` are the group sizes |g1| / |g2| (the graph
-/// only has cross edges, so isolated records are invisible to it).
-[[nodiscard]] bool DecideGraphLinked(const BipartiteGraph& graph,
-                                     int32_t size_left, int32_t size_right,
-                                     const FilterRefineConfig& config,
-                                     const ExecutionContext* ctx = nullptr);
 
 /// Reference path: exact BM on every candidate, no bounds. Same output
 /// contract as FilterRefineLink.

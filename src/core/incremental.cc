@@ -7,6 +7,7 @@
 #include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
+#include "core/filter_refine.h"
 #include "core/snapshot.h"
 #include "text/tokenizer.h"
 
@@ -28,6 +29,12 @@ struct IncrementalMetrics {
   Histogram& candidates_per_arrival;
   Histogram& arrival_seconds;
   Histogram& refresh_seconds;
+  // Refresh phases, in order.
+  Histogram& refresh_compact_seconds;
+  Histogram& refresh_vectors_seconds;
+  Histogram& refresh_edges_seconds;
+  Histogram& refresh_decide_seconds;
+  Counter& refresh_theta_edges;
 
   static IncrementalMetrics& Get() {
     auto& registry = MetricsRegistry::Default();
@@ -46,7 +53,12 @@ struct IncrementalMetrics {
         registry.HistogramRef("incremental.candidates_per_arrival",
                               {0, 1, 2, 4, 8, 16, 32, 64, 128, 256}),
         registry.HistogramRef("incremental.arrival_seconds"),
-        registry.HistogramRef("incremental.refresh_seconds")};
+        registry.HistogramRef("incremental.refresh_seconds"),
+        registry.HistogramRef("incremental.refresh_compact_seconds"),
+        registry.HistogramRef("incremental.refresh_vectors_seconds"),
+        registry.HistogramRef("incremental.refresh_edges_seconds"),
+        registry.HistogramRef("incremental.refresh_decide_seconds"),
+        registry.CounterRef("incremental.refresh_theta_edges")};
     return metrics;
   }
 };
@@ -456,9 +468,8 @@ std::vector<int32_t> IncrementalLinker::CandidateGroups(
 bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
                                    const ExecutionContext* ctx) const {
   // Builds the θ-thresholded graph, then decides through the shared
-  // DecideGraphLinked ladder (filter_refine.h) — the same decision order
-  // as the engine's DecidePair, so arrival decisions agree bitwise with
-  // the batch scoring of the same pair.
+  // DecideGraph ladder (filter_refine.h), so arrival decisions agree
+  // bitwise with the batch scoring of the same pair.
   const std::vector<int32_t>& left = group_records_[static_cast<size_t>(g1)];
   const std::vector<int32_t>& right = group_records_[static_cast<size_t>(g2)];
   const int32_t size_left = static_cast<int32_t>(left.size());
@@ -473,7 +484,7 @@ bool IncrementalLinker::DecideLink(int32_t g1, int32_t g2,
     }
   }
   const FilterRefineConfig fr_config = config_.filter_refine();
-  return DecideGraphLinked(graph, size_left, size_right, fr_config, ctx);
+  return IsLink(DecideGraph(graph, size_left, size_right, fr_config, ctx));
 }
 
 void IncrementalLinker::RemoveGroup(int32_t group) {
@@ -552,6 +563,7 @@ void IncrementalLinker::Refresh() {
   GL_CHECK(initialized_);
   GL_TRACE_SPAN("incremental.refresh");
   WallTimer timer;
+  WallTimer phase;
   auto& metrics = IncrementalMetrics::Get();
   // Epoch contract: only Refresh advances the epoch, by exactly one —
   // arrivals between refreshes are all scored against one frozen epoch.
@@ -559,11 +571,13 @@ void IncrementalLinker::Refresh() {
   GL_DCHECK_GE(entry_epoch, 0);
 
   token_index_.Compact();
+  metrics.refresh_compact_seconds.Observe(phase.ElapsedSeconds());
 
   // Rebuild the epoch vocabulary over live records in record-id order —
   // the exact AddDocument sequence the batch engine's Prepare issues for
   // a dataset holding these records in arrival order, so the id space
   // (and every downstream vector) is bitwise identical.
+  phase.Reset();
   epoch_vocab_ = Vocabulary();
   const size_t n = record_raw_tokens_.size();
   for (size_t r = 0; r < n; ++r) {
@@ -572,33 +586,69 @@ void IncrementalLinker::Refresh() {
   // Dead records have empty token lists, so they get empty vectors.
   record_vectors_ = RecomputeVectors(epoch_vocab_, record_raw_tokens_, pool());
   GL_DCHECK_EQ(record_vectors_.size(), n);
+  metrics.refresh_vectors_seconds.Observe(phase.ElapsedSeconds());
 
-  // Candidates from the maintained postings: live groups sharing a token.
-  // Per-record neighbor lists are gathered in parallel into slots; the
-  // serial concatenation + sort/unique yields the same sorted pair set as
-  // the engine's token Blocker + LiftToGroupPairs.
-  std::vector<std::vector<std::pair<int32_t, int32_t>>> per_record(n);
+  // θ-edges by term-at-a-time accumulation: each live record probes the
+  // epoch's weighted postings once and keeps the earlier records of other
+  // groups scoring >= θ, so every cross-group record pair with cos >= θ
+  // is found exactly once. The edge carries its smaller group on the
+  // left, with each record's slot in its group's list.
+  phase.Reset();
+  struct Edge {
+    int32_t g1;
+    int32_t g2;
+    int32_t i;
+    int32_t j;
+    double score;
+  };
+  const LiveScoringIndex scoring(static_cast<int32_t>(epoch_vocab_.size()),
+                                 record_vectors_, group_records_, group_alive_);
+  std::vector<std::vector<Edge>> per_record(n);
   ParallelFor(pool(), n, [&](size_t r) {
-    if (!record_alive_[r]) return;
-    const int32_t g2 = record_group_[r];
-    for (const int32_t doc : token_index_.DocumentsSharingToken(
-             token_index_.DocumentTokens(static_cast<int32_t>(r)))) {
-      if (static_cast<size_t>(doc) >= r) break;  // Count each record pair once.
-      const int32_t g1 = record_group_[static_cast<size_t>(doc)];
-      if (g1 == g2) continue;
-      per_record[r].emplace_back(std::min(g1, g2), std::max(g1, g2));
+    const int32_t slot_r = scoring.record_slot[r];
+    if (slot_r < 0) return;
+    thread_local std::vector<WeightedPostings::Hit> hits;
+    hits.clear();
+    scoring.postings.ScoresAtLeast(record_vectors_[r], config_.theta, &hits);
+    const int32_t group_r = record_group_[r];
+    for (const WeightedPostings::Hit& hit : hits) {
+      const size_t s = static_cast<size_t>(hit.record);
+      const int32_t group_s = record_group_[s];
+      if (s >= r || group_s == group_r) continue;
+      const int32_t slot_s = scoring.record_slot[s];
+      per_record[r].push_back(group_s < group_r
+                                  ? Edge{group_s, group_r, slot_s, slot_r, hit.score}
+                                  : Edge{group_r, group_s, slot_r, slot_s, hit.score});
     }
   });
-  std::vector<std::pair<int32_t, int32_t>> candidates;
-  for (std::vector<std::pair<int32_t, int32_t>>& pairs : per_record) {
-    candidates.insert(candidates.end(), pairs.begin(), pairs.end());
+  std::vector<Edge> edges;
+  for (std::vector<Edge>& record_edges : per_record) {
+    edges.insert(edges.end(), record_edges.begin(), record_edges.end());
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+  per_record = {};
+  // (g1, g2, i, j) order: each group pair's edges form one run, in the
+  // order BuildSimilarityGraph would have added them.
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    if (a.g1 != b.g1) return a.g1 < b.g1;
+    if (a.g2 != b.g2) return a.g2 < b.g2;
+    if (a.i != b.i) return a.i < b.i;
+    return a.j < b.j;
+  });
+  std::vector<std::pair<int32_t, int32_t>> candidates;
+  std::vector<size_t> run_begin;
+  for (size_t k = 0; k < edges.size(); ++k) {
+    if (k == 0 || edges[k].g1 != edges[k - 1].g1 || edges[k].g2 != edges[k - 1].g2) {
+      candidates.emplace_back(edges[k].g1, edges[k].g2);
+      run_begin.push_back(k);
+    }
+  }
+  run_begin.push_back(edges.size());
+  metrics.refresh_edges_seconds.Observe(phase.ElapsedSeconds());
+  metrics.refresh_theta_edges.Increment(edges.size());
 
-  // Rescore through the engine's own filter-and-refine code on a
-  // group-view dataset (records are reached by id via the sim callback).
+  // Decide every group pair with a θ-edge through the engine's own
+  // filter-and-refine loop, on graphs assembled from the edge runs.
+  phase.Reset();
   const FilterRefineConfig fr_config = config_.filter_refine();
   const Dataset view = GroupView();
   // Refresh gets its own context (the deadline clock restarts here): a
@@ -610,10 +660,19 @@ void IncrementalLinker::Refresh() {
   ctx.SetCancellation(config_.cancellation);
   ctx.SetMaxCandidatePairs(config_.max_candidate_pairs);
   ctx.SetMaxMatcherCost(config_.max_matcher_cost);
-  linked_pairs_ = FilterRefineLink(
-      view, [this](int32_t a, int32_t b) { return RecordSimilarity(a, b); },
-      candidates, fr_config, /*stats=*/nullptr, pool(), &ctx);
+  linked_pairs_ = FilterRefineGraphs(
+      view, candidates,
+      [&](size_t c) {
+        const auto [g1, g2] = candidates[c];
+        BipartiteGraph graph(view.GroupSize(g1), view.GroupSize(g2));
+        for (size_t k = run_begin[c]; k < run_begin[c + 1]; ++k) {
+          graph.AddEdge(edges[k].i, edges[k].j, edges[k].score);
+        }
+        return graph;
+      },
+      fr_config, /*stats=*/nullptr, pool(), &ctx);
   RebuildClusters();
+  metrics.refresh_decide_seconds.Observe(phase.ElapsedSeconds());
 
   ++epoch_;
   GL_DCHECK_EQ(epoch_, entry_epoch + 1);

@@ -67,7 +67,10 @@ std::shared_ptr<const CorpusSnapshot> CorpusSnapshot::Capture(
   snapshot->num_alive_groups_ = linker.num_alive_groups_;
   snapshot->linked_pairs_ = linker.linked_pairs_;
   snapshot->cluster_labels_ = linker.ClusterLabels();
-  snapshot->BuildScoringIndex();
+  snapshot->scoring_ =
+      LiveScoringIndex(static_cast<int32_t>(snapshot->epoch_vocab_.size()),
+                       snapshot->record_vectors_, snapshot->group_records_,
+                       snapshot->group_alive_);
   // Last write: the seal. Anything observing an unsealed snapshot went
   // around the publication barrier.
   snapshot->seal_ = kSealed;
@@ -108,25 +111,30 @@ Result<std::shared_ptr<const CorpusSnapshot>> CorpusSnapshot::FromParts(
         "recovered snapshot failed the consistency check: the store decoded "
         "cleanly but does not describe a valid epoch");
   }
-  snapshot->BuildScoringIndex();
+  snapshot->scoring_ =
+      LiveScoringIndex(static_cast<int32_t>(snapshot->epoch_vocab_.size()),
+                       snapshot->record_vectors_, snapshot->group_records_,
+                       snapshot->group_alive_);
   metrics.captured.Increment();
   metrics.live.Add(1.0);
   return std::shared_ptr<const CorpusSnapshot>(std::move(snapshot));
 }
 
-void CorpusSnapshot::BuildScoringIndex() {
-  std::vector<char> live(record_vectors_.size(), 0);
-  record_slot_.assign(record_vectors_.size(), -1);
-  for (size_t g = 0; g < group_records_.size(); ++g) {
-    if (!group_alive_[g]) continue;
-    const std::vector<int32_t>& records = group_records_[g];
+LiveScoringIndex::LiveScoringIndex(
+    int32_t num_tokens, const std::vector<SparseVector>& vectors,
+    const std::vector<std::vector<int32_t>>& group_records,
+    const std::vector<char>& group_alive) {
+  std::vector<char> live(vectors.size(), 0);
+  record_slot.assign(vectors.size(), -1);
+  for (size_t g = 0; g < group_records.size(); ++g) {
+    if (!group_alive[g]) continue;
+    const std::vector<int32_t>& records = group_records[g];
     for (size_t i = 0; i < records.size(); ++i) {
       live[static_cast<size_t>(records[i])] = 1;
-      record_slot_[static_cast<size_t>(records[i])] = static_cast<int32_t>(i);
+      record_slot[static_cast<size_t>(records[i])] = static_cast<int32_t>(i);
     }
   }
-  postings_ = WeightedPostings(static_cast<int32_t>(epoch_vocab_.size()),
-                               record_vectors_, live);
+  postings = WeightedPostings(num_tokens, vectors, live);
 }
 
 CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
@@ -134,13 +142,13 @@ CorpusSnapshot::QueryResult CorpusSnapshot::LinkQuery(
   GL_CHECK_EQ(seal_, kSealed) << "LinkQuery on an unsealed snapshot";
   const QueryPlan plan{
       epoch_, &config_, &index_vocab_, &epoch_vocab_, &token_index_.removed(),
-      &record_group_, &record_slot_, &group_records_, &group_alive_,
+      &record_group_, &scoring_.record_slot, &group_records_, &group_alive_,
       [this](int32_t token, std::vector<int32_t>*) {
         return Result<std::span<const int32_t>>(token_index_.Postings(token));
       },
       [this](const auto& probes, auto* hits) {
         for (size_t j = 0; j < probes.size(); ++j) {
-          postings_.ScoresAtLeast(probes[j], config_.theta, &(*hits)[j]);
+          scoring_.postings.ScoresAtLeast(probes[j], config_.theta, &(*hits)[j]);
         }
         return Status::Ok();
       }};
@@ -255,7 +263,7 @@ Result<CorpusSnapshot::QueryResult> CorpusSnapshot::RunLinkQuery(
     while (next < edges.size() && edges[next].group < g) ++next;
     const size_t first = next;
     while (next < edges.size() && edges[next].group == g) ++next;
-    // No θ-edge: DecideGraphLinked rejects an empty graph outright.
+    // No θ-edge: the ladder rejects an empty graph outright.
     if (first == next) continue;
     // The corpus group is the left side, the probe the right — the same
     // orientation as the arrival path's DecideLink(other, new_group).
@@ -265,7 +273,7 @@ Result<CorpusSnapshot::QueryResult> CorpusSnapshot::RunLinkQuery(
     for (size_t k = first; k < next; ++k) {
       graph.AddEdge(edges[k].slot, edges[k].probe, edges[k].score);
     }
-    if (DecideGraphLinked(graph, size_left, size_right, fr_config, &ctx)) {
+    if (IsLink(DecideGraph(graph, size_left, size_right, fr_config, &ctx))) {
       result.linked_to.push_back(g);
     }
   }

@@ -19,6 +19,21 @@
 
 namespace grouplink {
 
+/// The θ-edge index of one epoch: weighted postings over the vectors of
+/// every record in a live group, and each record's slot in its group's
+/// record list (-1 outside live groups). CorpusSnapshot builds one per
+/// sealed epoch for LinkQuery; IncrementalLinker::Refresh builds one to
+/// find the epoch's θ-edges.
+struct LiveScoringIndex {
+  LiveScoringIndex() = default;
+  LiveScoringIndex(int32_t num_tokens, const std::vector<SparseVector>& vectors,
+                   const std::vector<std::vector<int32_t>>& group_records,
+                   const std::vector<char>& group_alive);
+
+  WeightedPostings postings;
+  std::vector<int32_t> record_slot;
+};
+
 /// An immutable, self-contained freeze of one serving epoch: the corpus
 /// TF-IDF vectors, the token inverted index, group membership and labels,
 /// the link set, and the entity cluster labels — everything LinkQuery
@@ -37,7 +52,7 @@ namespace grouplink {
 /// path under this epoch's frozen statistics — tokenize, vectorize
 /// against the epoch vocabulary (unseen tokens drop out of the vector),
 /// candidates by token blocking over the index, then the shared
-/// filter-and-refine ladder (DecideGraphLinked) per candidate. So a query
+/// filter-and-refine ladder (DecideGraph) per candidate. So a query
 /// against the epoch-k snapshot returns bit-identically the links that
 /// linker.Clone()->AddGroup(G) would have produced at the capture point —
 /// and at a refresh point that equals a batch LinkageEngine run over the
@@ -231,11 +246,6 @@ class CorpusSnapshot {
  private:
   CorpusSnapshot() = default;
 
-  /// Derives the scoring state (postings_, record_slot_) from the frozen
-  /// parts. Runs before the seal in Capture and after the consistency
-  /// check in FromParts, whose invariants it relies on.
-  void BuildScoringIndex();
-
   // All fields are written once inside Capture and frozen thereafter.
   LinkageConfig config_;
   int64_t epoch_ = 0;
@@ -263,11 +273,10 @@ class CorpusSnapshot {
   std::vector<std::pair<int32_t, int32_t>> linked_pairs_;
   std::vector<size_t> cluster_labels_;
 
-  // Scoring state derived from the parts above (not persisted): weighted
-  // postings over the live records' vectors, and each live record's
-  // position in its group's record list (-1 for records of dead groups).
-  WeightedPostings postings_;
-  std::vector<int32_t> record_slot_;
+  // Scoring state derived from the parts above (not persisted). Built
+  // before the seal in Capture and after the consistency check in
+  // FromParts, whose invariants it relies on.
+  LiveScoringIndex scoring_;
 
   // Written as the very last step of Capture; every query GL_CHECKs it.
   // A reader that could ever observe a partially built snapshot would

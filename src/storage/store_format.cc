@@ -48,8 +48,7 @@ Status ReadBitmap(ByteReader& reader, size_t count, std::vector<char>* out) {
 }  // namespace
 
 std::vector<uint8_t> EncodeHeaderPayload(const StoreInfo& info) {
-  std::vector<uint8_t> payload;
-  payload.insert(payload.end(), kFileMagic, kFileMagic + sizeof(kFileMagic));
+  std::vector<uint8_t> payload(kFileMagic, kFileMagic + sizeof(kFileMagic));
   PutFixed32(payload, kFormatVersion);
   PutFixed32(payload, info.page_bytes);
   PutFixed64(payload, info.num_pages);

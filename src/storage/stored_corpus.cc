@@ -39,7 +39,7 @@ Result<std::unique_ptr<StoredCorpus>> StoredCorpus::Open(
   GL_RETURN_IF_ERROR(DecodeDirectory(weighted_dir, corpus->epoch_vocab_.size(),
                                      info.segments[kWeightedPostings].length,
                                      &corpus->weighted_offsets_));
-  // Slots of the live groups' records, as CorpusSnapshot::BuildScoringIndex
+  // Slots of the live groups' records, as LiveScoringIndex
   // derives them. Edges address a group's graph by slot, so lists that
   // disagree with record_group are DataLoss, as in FromParts.
   const MetaData& meta = corpus->meta_;

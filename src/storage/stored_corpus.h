@@ -78,7 +78,7 @@ class StoredCorpus {
   std::vector<uint64_t> postings_offsets_;  // Prefix sums, size |index vocab|+1.
   std::vector<uint64_t> weighted_offsets_;  // Prefix sums, size |epoch vocab|+1.
   // Each record's position in its live group's list, -1 for records of
-  // dead groups (CorpusSnapshot's record_slot_, rebuilt at Open).
+  // dead groups (LiveScoringIndex::record_slot, rebuilt at Open).
   std::vector<int32_t> record_slot_;
 
   // Paged data plumbing. The BufferManager owns the file and is internally

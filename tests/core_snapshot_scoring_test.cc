@@ -123,7 +123,7 @@ ReferenceAnswer PerPairQuery(const CorpusSnapshot& snapshot,
         }
       }
     }
-    if (DecideGraphLinked(graph, size_left, size_right, fr_config, nullptr)) {
+    if (IsLink(DecideGraph(graph, size_left, size_right, fr_config))) {
       answer.linked_to.push_back(g);
     }
   }

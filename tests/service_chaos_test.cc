@@ -156,6 +156,13 @@ TEST(ServiceChaosTest, StormOfEveryFaultClassRecoversAndServesProvableEpochs) {
   std::vector<ReaderLog> logs(kReaders);
   std::atomic<bool> stop{false};
   ThreadPool readers(kReaders);
+  // Stops the readers on every exit path. A failed ASSERT returns early,
+  // and the pool's destructor would then join readers that never leave
+  // their loop. Declared after `readers`, so it runs before that join.
+  struct StopReaders {
+    std::atomic<bool>& flag;
+    ~StopReaders() { flag.store(true, std::memory_order_release); }
+  } stop_readers{stop};
   for (size_t reader = 0; reader < kReaders; ++reader) {
     ReaderLog* log = &logs[reader];
     const SupervisedService* svc = &service;
